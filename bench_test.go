@@ -499,6 +499,24 @@ func BenchmarkE18_AcquireDeadlineUncontended(b *testing.B) {
 	}
 }
 
+// The same cancel path on a Fork'd thread, whose SELF is one registry
+// lookup: the benchmark goroutine above is adopted, so its SELF also
+// re-checks the goroutine id.
+func BenchmarkE18_AcquireDeadlineForked(b *testing.B) {
+	b.ReportAllocs()
+	var m threads.Mutex
+	deadline := time.Now().Add(time.Hour)
+	threads.Join(threads.Fork(func() {
+		for i := 0; i < b.N; i++ {
+			if err := m.AcquireDeadline(deadline); err != nil {
+				b.Error(err)
+				return
+			}
+			m.Release()
+		}
+	}))
+}
+
 func BenchmarkE18_AlertPDeadlineUncontended(b *testing.B) {
 	b.ReportAllocs()
 	var s threads.Semaphore

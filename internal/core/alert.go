@@ -84,8 +84,9 @@ func TestAlert() bool { return testAlertT(Self()) }
 
 // testAlertT is TestAlert with SELF already recovered. The deadline
 // epilogue (finishDeadline) uses it so one deadline operation computes SELF
-// once — the runtime.Stack header parse behind Self dominates the cost of
-// every alertable operation, so the variants must not pay it twice.
+// once — on an adopted goroutine Self parses the runtime.Stack header, which
+// dominates the cost of an alertable operation, so the variants must not
+// pay it twice.
 func testAlertT(t *Thread) bool {
 	var b bool
 	if traceOn.Load() {

@@ -18,6 +18,17 @@ func BenchmarkSelf(b *testing.B) {
 	}
 }
 
+// BenchmarkSelfForked is BenchmarkSelf on a Fork'd thread, whose registry
+// hit needs no goroutine-id check.
+func BenchmarkSelfForked(b *testing.B) {
+	b.ReportAllocs()
+	Join(Fork(func() {
+		for i := 0; i < b.N; i++ {
+			Self()
+		}
+	}))
+}
+
 func BenchmarkTimerArmCancel(b *testing.B) {
 	b.ReportAllocs()
 	t := Self()

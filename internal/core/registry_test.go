@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// registrySize counts live goroutine→Thread registry entries across all
-// shards.
+// registrySize counts registry entries across all shards, including stale
+// ones left by adopted goroutines that exited without Detach.
 func registrySize() int {
 	n := 0
 	for _, s := range registry {
@@ -19,12 +19,11 @@ func registrySize() int {
 
 // TestAdoptedGoroutinesDetachWithoutRegistryGrowth is the regression test
 // for the Detach audit: every raw goroutine that touches a primitive is
-// adopted into the registry by Self(), and without a matching Detach those
-// entries outlive the goroutine — goroutine ids are not reused promptly, so
-// a long-lived program leaks an entry (and pins a Thread) per worker. The
-// test adopts a burst of transient goroutines, verifies they really were
-// registered while alive, and asserts the registry returns to its baseline
-// once they Detach.
+// adopted into the registry by Self(), and Detach frees that entry before
+// the goroutine exits instead of leaving it for a later goroutine on the
+// same g to reclaim. The test adopts a burst of transient goroutines,
+// verifies each is registered under its own key while alive, and asserts
+// the registry is no larger than its baseline once they Detach.
 func TestAdoptedGoroutinesDetachWithoutRegistryGrowth(t *testing.T) {
 	base := registrySize()
 	const n = 128
@@ -33,6 +32,8 @@ func TestAdoptedGoroutinesDetachWithoutRegistryGrowth(t *testing.T) {
 		adopted sync.WaitGroup
 		release = make(chan struct{})
 		wg      sync.WaitGroup
+		keys    [n]uint64
+		selves  [n]*Thread
 	)
 	adopted.Add(n)
 	wg.Add(n)
@@ -40,16 +41,19 @@ func TestAdoptedGoroutinesDetachWithoutRegistryGrowth(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer Detach()
-			Self() // adopt (uncontended Acquire never computes SELF)
+			selves[i] = Self() // adopt (uncontended Acquire never computes SELF)
+			keys[i] = gkey()
 			m.Acquire()
 			m.Release()
 			adopted.Done()
-			<-release // hold the registration until the mid-flight count
+			<-release // hold the registration until the mid-flight check
 		}()
 	}
 	adopted.Wait()
-	if got := registrySize(); got < base+n {
-		t.Fatalf("registry holds %d entries with %d adopted goroutines alive, want >= %d", got, n, base+n)
+	for i := range keys {
+		if got := lookupThread(keys[i]); got != selves[i] {
+			t.Fatalf("live adopted goroutine %d is registered as %v, want %v", i, got, selves[i])
+		}
 	}
 	close(release)
 	wg.Wait()

@@ -16,11 +16,17 @@ import (
 //
 // Threads are created with Fork. A goroutine that was not created by Fork
 // (the main goroutine, for example) is adopted on its first call to Self,
-// TestAlert, AlertWait or AlertP.
+// TestAlert, AlertWait or AlertP, and stays registered until it calls
+// Detach or, on amd64 and arm64, until the runtime reuses its g for a later
+// goroutine that adopts (see the registry comment).
 type Thread struct {
 	id   uint64
-	gid  uint64
 	name string
+
+	// gid is an adopted thread's goroutine id, which Self re-checks on
+	// every registry hit (see the registry comment); zero for Fork'd
+	// threads, whose entries need no check.
+	gid uint64
 
 	// alerted is this thread's membership in the specification's global
 	// alerts set: Alert inserts, TestAlert and the Alerted returns of
@@ -205,13 +211,28 @@ var threadIDs atomic.Uint64
 // Goroutine → Thread registry.
 //
 // The primitives need SELF without threading a handle through every call.
-// The goroutine id is recovered from the runtime.Stack header (the only
-// stdlib-visible identity a goroutine has) and mapped to its Thread in a
-// sharded registry guarded by spin locks, so the core depends on nothing
-// heavier than the primitives it itself implements.
+// A sharded map guarded by spin locks takes the calling goroutine's key
+// (gkey: the address of its runtime g on amd64 and arm64, its goroutine id
+// elsewhere) to its Thread, so the core depends on nothing heavier than the
+// primitives it itself implements.
+//
+// Only a goroutine writes its own key. A Fork'd thread registers from its
+// goroutine before fn runs and unregisters before the goroutine exits, so a
+// hit on a Fork'd entry is always the caller's: one map lookup, no stack
+// parse. An adopted goroutine's exit cannot be observed, and the runtime
+// hands an exited goroutine's g to a later goroutine. An adopted entry
+// therefore keeps its goroutine id, and Self re-checks it on every hit; a
+// mismatch means the g was reused, and the newcomer is adopted afresh over
+// the stale entry. That overwrite also bounds the registry when adopted
+// goroutines exit without Detach: a stale entry lasts only until its g is
+// reused. Where the key is the goroutine id, which the runtime never
+// reuses, such an entry lasts for the life of the process.
 // ---------------------------------------------------------------------------
 
-const registryShards = 64
+const (
+	registryShardBits = 6
+	registryShards    = 1 << registryShardBits
+)
 
 type registryShard struct {
 	lock spinlock.Lock // 32 bytes (bit+contention+MCS tail+holder)
@@ -227,36 +248,39 @@ func init() {
 	}
 }
 
-func shardFor(gid uint64) *registryShard {
-	return registry[gid%registryShards]
+// shardFor picks a key's shard from the top bits of a Fibonacci hash: the
+// runtime allocates every g from one size class, so g addresses share
+// their low bits.
+func shardFor(key uint64) *registryShard {
+	return registry[(key*0x9E3779B97F4A7C15)>>(64-registryShardBits)]
 }
 
-func registerThread(gid uint64, t *Thread) {
-	s := shardFor(gid)
+func registerThread(key uint64, t *Thread) {
+	s := shardFor(key)
 	s.lock.Lock()
-	s.m[gid] = t
+	s.m[key] = t
 	s.lock.Unlock()
 }
 
-func unregisterThread(gid uint64) {
-	s := shardFor(gid)
+func unregisterThread(key uint64) {
+	s := shardFor(key)
 	s.lock.Lock()
-	delete(s.m, gid)
+	delete(s.m, key)
 	s.lock.Unlock()
 }
 
-func lookupThread(gid uint64) *Thread {
-	s := shardFor(gid)
+func lookupThread(key uint64) *Thread {
+	s := shardFor(key)
 	s.lock.Lock()
-	t := s.m[gid]
+	t := s.m[key]
 	s.lock.Unlock()
 	return t
 }
 
 // goidBufPool recycles the header buffers goid hands to runtime.Stack.
 // runtime.Stack stores its argument in the g (writebuf), so a local array
-// would escape and cost one heap allocation per Self() — pooling keeps the
-// identity lookup allocation-free in steady state.
+// would escape and cost one heap allocation per call — pooling keeps the
+// identity check allocation-free in steady state.
 var goidBufPool = sync.Pool{New: func() any { return new([64]byte) }}
 
 // goid returns the current goroutine's id, parsed from the
@@ -281,13 +305,21 @@ func goid() uint64 {
 // Self returns the Thread executing the caller, adopting the goroutine into
 // the registry if it was not created by Fork.
 func Self() *Thread {
-	gid := goid()
-	if t := lookupThread(gid); t != nil {
+	key := gkey()
+	t := lookupThread(key)
+	if t != nil && t.done != nil {
+		return t // Fork'd: the entry lives exactly as long as its goroutine
+	}
+	gid := key
+	if !keyIsGoid {
+		gid = goid()
+	}
+	if t != nil && t.gid == gid {
 		return t
 	}
-	t := newThread("adopted")
+	t = newThread("adopted")
 	t.gid = gid
-	registerThread(gid, t)
+	registerThread(key, t)
 	return t
 }
 
@@ -342,18 +374,17 @@ func forkNamedPri(name string, pri int, fn func()) *Thread {
 	t.done = make(chan struct{})
 	ready := make(chan struct{})
 	go func() {
-		gid := goid()
-		t.gid = gid
-		registerThread(gid, t)
+		key := gkey()
+		registerThread(key, t)
 		close(ready)
 		defer func() {
-			unregisterThread(gid)
+			unregisterThread(key)
 			close(t.done)
 		}()
 		fn()
 	}()
-	// Wait until the child is registered so an immediate Alert(t) followed
-	// by the child's AlertWait observes a consistent registry.
+	// Fork returns only after the child has started and registered itself,
+	// so the new thread is running by the time its caller goes on.
 	<-ready
 	return t
 }
@@ -368,9 +399,19 @@ func Join(t *Thread) {
 	<-t.done
 }
 
-// Detach removes an adopted goroutine's registry entry. Long-lived programs
-// that adopt many transient goroutines call this before the goroutine
-// exits; threads created by Fork clean up automatically.
+// Detach removes the calling goroutine's registry entry if the goroutine
+// was adopted, freeing its Thread before the goroutine exits. A Fork'd
+// thread's entry is left alone: it goes when the thread's function returns,
+// and removing it early would make the thread's next Self adopt a second
+// Thread that Alert never reaches. An adopted entry that is not detached is
+// reclaimed when the runtime reuses the goroutine's g for a later goroutine
+// that adopts (amd64 and arm64); elsewhere it lasts for the life of the
+// process.
 func Detach() {
-	unregisterThread(goid())
+	key := gkey()
+	if t := lookupThread(key); t != nil && t.done == nil {
+		// Adopted, and either the caller's own entry or one left on the
+		// same g by an exited goroutine: both are the caller's to free.
+		unregisterThread(key)
+	}
 }

@@ -100,10 +100,17 @@ func TestJoinAdoptedPanics(t *testing.T) {
 }
 
 func TestRegistryCleanupAfterExit(t *testing.T) {
-	var gid uint64
-	th := Fork(func() { gid = goid() })
+	var key uint64
+	var inside *Thread
+	th := Fork(func() {
+		key = gkey()
+		inside = lookupThread(key)
+	})
 	Join(th)
-	if lookupThread(gid) != nil {
+	if inside != th {
+		t.Fatalf("forked thread registered as %v, want %v", inside, th)
+	}
+	if lookupThread(key) != nil {
 		t.Fatal("registry entry survived thread exit")
 	}
 }
@@ -113,15 +120,50 @@ func TestDetach(t *testing.T) {
 	go func() {
 		defer close(done)
 		s := Self() // adopt
-		if lookupThread(goid()) != s {
+		if lookupThread(gkey()) != s {
 			t.Error("adopted thread not registered")
 		}
 		Detach()
-		if lookupThread(goid()) != nil {
+		if lookupThread(gkey()) != nil {
 			t.Error("Detach left a registry entry")
 		}
 	}()
 	waitDone(t, done, "detaching goroutine")
+}
+
+// TestDetachOnForkedThreadKeepsIdentity: Detach called from a Fork'd thread
+// must leave its registry entry alone. Were the entry dropped, the thread's
+// next Self would adopt a second Thread, and Alert(th) would set a flag
+// that no wait is watching: the AlertWait below would never end.
+func TestDetachOnForkedThreadKeepsIdentity(t *testing.T) {
+	var (
+		m       Mutex
+		c       Condition
+		err     error
+		self    *Thread
+		waiting = make(chan struct{})
+	)
+	th := Fork(func() {
+		Detach()
+		m.Acquire()
+		close(waiting)
+		err = c.AlertWait(&m)
+		m.Release()
+		self = Self()
+	})
+	<-waiting
+	m.Acquire() // the child released m inside AlertWait
+	Alert(th)
+	m.Release()
+	done := make(chan struct{})
+	go func() { Join(th); close(done) }()
+	waitDone(t, done, "AlertWait of a forked thread that called Detach")
+	if err != Alerted {
+		t.Fatalf("AlertWait = %v, want Alerted", err)
+	}
+	if self != th {
+		t.Fatalf("Self after Detach = %v, want the Fork handle %v", self, th)
+	}
 }
 
 func TestGoidParses(t *testing.T) {

@@ -217,7 +217,8 @@ func traceObjID(id *atomic.Uint64) uint64 {
 
 // traceAcquireCtx builds the traceCtx for a gate acquisition path: kind and
 // the calling thread, resolved only when tracing is on (Self costs a
-// runtime.Stack header parse, which the untraced fast paths never pay).
+// registry lookup, and on an adopted goroutine a runtime.Stack header
+// parse, which the untraced fast paths never pay).
 func traceAcquireCtx(kind TraceKind) traceCtx {
 	if !traceOn.Load() {
 		return traceCtx{}

@@ -78,7 +78,9 @@
 // # Threads
 //
 // The primitives identify callers by Thread. Goroutines created by Fork are
-// threads; any other goroutine is adopted on first use. Thread creation:
+// threads; any other goroutine is adopted the first time it needs SELF (an
+// alertable wait, a deadline variant, WithContext or Self), and Detach
+// frees its registration before it exits. Thread creation:
 //
 //	t := threads.Fork(func() { ... })
 //	threads.Alert(t)
@@ -157,12 +159,19 @@ func ForkNamedPri(name string, pri int, fn func()) *Thread { return core.ForkNam
 func Join(t *Thread) { core.Join(t) }
 
 // Self returns the calling thread, adopting the goroutine if it was not
-// created by Fork.
+// created by Fork. On amd64 and arm64 it costs one map lookup on a
+// Fork-created thread; an adopted goroutine, and every goroutine on other
+// architectures, also pays a goroutine-id parse from runtime.Stack, so hot
+// alertable loops belong on Fork-created threads.
 func Self() *Thread { return core.Self() }
 
-// Detach removes an adopted goroutine's thread registration. Call it before
-// an adopted goroutine exits in long-lived programs; Fork-created threads
-// clean up automatically.
+// Detach frees the calling goroutine's thread registration if the goroutine
+// was adopted; on a Fork-created thread, which cleans up when its function
+// returns, it does nothing. Call it before an adopted goroutine exits to
+// free the entry at once. On amd64 and arm64 an entry left behind is
+// reclaimed when the runtime reuses the exited goroutine's g for a later
+// goroutine that needs SELF; on other architectures it lasts for the life
+// of the process.
 func Detach() { core.Detach() }
 
 // Lock brackets body with m.Acquire and m.Release — the LOCK m DO ... END
