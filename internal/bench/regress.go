@@ -196,11 +196,15 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	// no cache, so the run is exactly deterministic). The prune fraction
 	// is a pure function of the decision tree and the independence
 	// relation — stable across machines; throughput is wall-clock and
-	// enforced only with -timed.
+	// enforced only with -timed. Allocations per schedule are stable too:
+	// they catch a return of per-step allocation in the simulator kernel.
 	mlit := checker.LitmusByName("mutex")
+	var expBefore, expAfter runtime.MemStats
+	runtime.ReadMemStats(&expBefore)
 	expStart := time.Now()
 	expRep := explore.Explore(mlit, explore.Options{MaxPreemptions: 2, POR: explore.PORSleepSets})
 	expElapsed := time.Since(expStart).Seconds()
+	runtime.ReadMemStats(&expAfter)
 	if expRep.Violation != nil || expRep.Partial {
 		panic(fmt.Sprintf("mutex exploration did not complete cleanly: %+v", expRep))
 	}
@@ -210,6 +214,7 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	}
 	add("e17.explore_sched_per_sec", float64(sched)/expElapsed, "higher", false, 0)
 	add("e17.por_prune_frac", float64(expRep.Pruned)/float64(sched+expRep.Pruned), "higher", true, 0.02)
+	add("e17.explore_allocs_per_sched", float64(expAfter.Mallocs-expBefore.Mallocs)/float64(sched), "lower", true, 0.05)
 
 	// E18: the deadline cancel path — arm a timer-wheel entry, take the
 	// uncontended mutex, cancel-and-drain on the way out. Steady-state

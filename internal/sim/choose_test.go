@@ -10,13 +10,18 @@ import (
 // the interleaving exactly.
 func TestChooseControlsInterleaving(t *testing.T) {
 	run := func(pickLast bool) (order []string, decisions int) {
+		// Choose runs on a simulated thread's goroutine, where t.Fatal
+		// must not be called: record a bad order and fail after Run.
+		var badOrder []string
 		k := NewKernel(Config{
 			Procs: 2,
 			Choose: func(prev *T, cands []*T) int {
 				decisions++
 				for i := 1; i < len(cands); i++ {
-					if cands[i-1].id >= cands[i].id {
-						t.Fatalf("candidates not in ascending ID order: %v", cands)
+					if cands[i-1].id >= cands[i].id && badOrder == nil {
+						for _, c := range cands {
+							badOrder = append(badOrder, c.Name())
+						}
 					}
 				}
 				if pickLast {
@@ -37,6 +42,9 @@ func TestChooseControlsInterleaving(t *testing.T) {
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if badOrder != nil {
+			t.Fatalf("candidates not in ascending ID order: %v", badOrder)
 		}
 		return order, decisions
 	}

@@ -25,19 +25,27 @@ type Env struct {
 	k *Kernel
 }
 
-// yieldPoint parks the thread until the kernel grants it the next
-// instruction, then lets it proceed to execute that instruction. The
-// footprint fp declares what that instruction will touch (footprint.go);
-// it is what the Choose hook sees as the candidate's next step.
+// yieldPoint ends the thread's current step at its next instruction and
+// returns when the thread is granted that instruction. The footprint fp
+// declares what the instruction will touch (footprint.go); it is what the
+// Choose hook sees as the candidate's next step.
+//
+// The thread runs the scheduler itself (baton passing): it accounts the
+// step it just ended and chooses the next one. If it chooses itself it
+// returns at once, with no goroutine switch; otherwise it wakes the chosen
+// thread with one send on its grant channel and parks until granted again.
+// When the run ends, the thread unwinds with simAbort.
 func (e *Env) yieldPoint(op opKind, cost uint64, fp Footprint) {
 	t := e.t
 	t.pendingOp = op
 	t.pendingCost = cost
 	t.fp = fp
-	select {
-	case t.k.yield <- t:
-	case <-t.k.stop:
-		panic(simAbort{})
+	next := t.k.advance(t)
+	if next == t {
+		return
+	}
+	if next != nil { // nil: the run has ended
+		next.grant <- struct{}{}
 	}
 	select {
 	case <-t.grant:

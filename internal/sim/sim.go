@@ -19,12 +19,19 @@
 //     for performance experiments) or adversarially random (for race
 //     exploration), both driven by a seed so every run is reproducible.
 //
-// Execution is interleaving-based: threads run as coroutines that yield to
-// the kernel at every shared-memory access, so exactly one thread executes
-// between yield points and a run is a deterministic function of (program,
-// config, seed). Local computation between accesses is free unless the
-// thread declares it with Work(n); this matches the usual operational model
-// for shared-memory algorithms, where only the shared accesses order.
+// Execution is interleaving-based: every shared-memory access is a yield
+// point, exactly one thread executes between yield points, and a run is a
+// deterministic function of (program, config, seed). Local computation
+// between accesses is free unless the thread declares it with Work(n); this
+// matches the usual operational model for shared-memory algorithms, where
+// only the shared accesses order.
+//
+// Each simulated thread is a goroutine, and the scheduler runs on whichever
+// goroutine holds the baton: the thread that reaches a yield point accounts
+// its own step and chooses the next one. If it chooses itself it simply
+// continues, with no goroutine switch; otherwise it wakes the chosen thread
+// with one send on that thread's grant channel and parks on its own. Run
+// makes only the first decision and then waits for the run to end.
 package sim
 
 import (
@@ -53,6 +60,15 @@ const (
 )
 
 // Config parameterizes a Kernel.
+//
+// The hooks Trace, Choose and OnStep run on the goroutine of whichever
+// simulated thread reached the yield point, or emitted the event; Run's own
+// goroutine makes the first scheduling decision. No two hooks ever run at
+// once, so they need no locking among themselves, but a hook must not
+// block and must not call t.Fatal or runtime.Goexit: either would strand
+// the run. A panic in a hook or in a thread body ends the run, and Run
+// re-raises the first such panic on its caller's goroutine once every
+// thread goroutine has unwound.
 type Config struct {
 	// Procs is the number of processors (default 1; the Firefly of the
 	// paper had several MicroVAX II processors — the benchmarks use 5).
@@ -81,7 +97,9 @@ type Config struct {
 	// candidate whose index Choose returns. Every shared-memory access is
 	// a yield point, so Choose sees — and controls — every interleaving
 	// decision of the run; internal/explore drives it to enumerate
-	// schedule spaces. With Choose set the Seed is never consulted.
+	// schedule spaces. With Choose set the Seed is never consulted. The
+	// kernel reuses cands for the next decision, so Choose must not retain
+	// it.
 	Choose func(prev *T, cands []*T) int
 	// OnStep, if non-nil, receives the footprint of every executed step
 	// (the access the thread had declared, with Sched forced true when the
@@ -148,9 +166,13 @@ type T struct {
 	name string
 	k    *Kernel
 
-	state       threadState
-	proc        int // processor index while running
-	item        *queue.PItem[*T]
+	state threadState
+	proc  int // processor index while running
+	item  *queue.PItem[*T]
+	// grant carries the baton: one send lets the parked thread run its next
+	// step. One slot is enough, since only the baton holder sends and it
+	// sends one grant per hand-off; with it the sender never waits for a
+	// freshly spawned goroutine to reach its first receive.
 	grant       chan struct{}
 	env         Env
 	fn          func(*Env)
@@ -206,28 +228,41 @@ type proc struct {
 	quantumLeft uint64
 }
 
-// simAbort unwinds a thread goroutine when the kernel stops early.
+// simAbort unwinds a thread goroutine when the run ends before it does.
 type simAbort struct{}
 
 // Kernel owns the simulated machine: processors, threads, ready pool,
-// clocks and the scheduling loop.
+// clocks and the scheduler state the threads hand to one another.
 type Kernel struct {
 	cfg     Config
 	cost    CostProfile
-	rng     *rand.Rand
+	rng     *rand.Rand // nil when Choose makes every decision
 	procs   []*proc
 	threads []*T
 	ready   *queue.PriorityQueue[*T]
-	yield   chan *T
+	// stop is closed when the run ends: Run returns, and every parked
+	// thread unwinds.
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	steps   uint64
 	lastEvt uint64 // clock of the most recent instruction, for idle procs
 	seq     uint64
-	stopped bool
 	// lastRun is the thread that executed the previous instruction; the
 	// Choose hook uses it to tell voluntary switches from preemptions.
 	lastRun *T
+	// exec is the footprint lastRun declared before it was granted: the
+	// access its current step executes, reported to OnStep at the next
+	// yield point.
+	exec Footprint
+	// runnable and cands are the candidate lists of the current decision,
+	// reused across decisions.
+	runnable []*proc
+	cands    []*T
+	// err is Run's result, set by the goroutine that ended the run.
+	// panicked is the first panic from a thread body or a hook.
+	err       error
+	panicOnce sync.Once
+	panicked  any
 	// awaiting maps a Word to the threads blocked in TASAwait on it.
 	awaiting map[*Word][]*T
 	// watchers maps a Word to the threads blocked in AwaitChange on it.
@@ -249,10 +284,11 @@ func NewKernel(cfg Config) *Kernel {
 	k := &Kernel{
 		cfg:   cfg,
 		cost:  cfg.Cost.orDefault(),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		ready: queue.NewPriorityQueue[*T](),
-		yield: make(chan *T),
 		stop:  make(chan struct{}),
+	}
+	if cfg.Choose == nil {
+		k.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		k.procs = append(k.procs, &proc{id: i})
@@ -273,7 +309,7 @@ func (k *Kernel) SpawnPri(name string, pri int, fn func(*Env)) *T {
 		id:          len(k.threads),
 		name:        name,
 		k:           k,
-		grant:       make(chan struct{}),
+		grant:       make(chan struct{}, 1),
 		fn:          fn,
 		preemptible: true,
 	}
@@ -293,150 +329,192 @@ func (t *T) main() {
 	defer t.k.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(simAbort); ok {
-				return // kernel stopped the run; unwind quietly
+			if _, ok := r.(simAbort); !ok {
+				t.k.fail(r)
 			}
-			panic(r)
 		}
 	}()
-	// Wait for the first grant, which starts execution.
+	// Wait for the first grant, which starts execution, or for the run to
+	// end without one.
 	select {
 	case <-t.grant:
 	case <-t.k.stop:
-		panic(simAbort{})
+		return
 	}
 	t.fn(&t.env)
 	t.pendingOp = opExit
-	select {
-	case t.k.yield <- t:
-	case <-t.k.stop:
-		panic(simAbort{})
+	if next := t.k.advance(t); next != nil {
+		next.grant <- struct{}{}
 	}
 }
 
 // Run executes the machine until every thread is done. It returns nil on
 // normal completion, a *DeadlockError if live threads remain but none can
-// run, or ErrStepLimit. Run may be called once per Kernel.
+// run, ErrStepLimit, or ErrAborted; a panic in a thread body or a hook is
+// re-raised here. Run may be called once per Kernel.
 func (k *Kernel) Run() error {
+	if next := k.advance(nil); next != nil {
+		next.grant <- struct{}{}
+	}
+	<-k.stop
+	k.wg.Wait()
+	if k.panicked != nil {
+		panic(k.panicked)
+	}
+	return k.err
+}
+
+// end finishes the run with err, unless it has already ended. Only the
+// baton holder can find the run still going, so the check cannot race.
+func (k *Kernel) end(err error) {
+	select {
+	case <-k.stop:
+	default:
+		k.err = err
+		close(k.stop)
+	}
+}
+
+// fail records r if it is the run's first panic and ends the run. Threads
+// unwinding after the end may call it concurrently.
+func (k *Kernel) fail(r any) {
+	k.panicOnce.Do(func() { k.panicked = r })
+	k.end(nil)
+}
+
+// advance is the scheduler. It runs on the goroutine that holds the baton:
+// the thread t that just reached a yield point or exited, or Run's with a
+// nil t for the first decision. It accounts the step t just ended, then
+// chooses the next step and returns the thread to run it, or nil once the
+// run has ended.
+func (k *Kernel) advance(t *T) (next *T) {
+	select {
+	case <-k.stop:
+		return nil // t is unwinding after the end; the machine is frozen
+	default:
+	}
 	defer func() {
-		if !k.stopped {
-			k.stopped = true
-			close(k.stop)
+		if r := recover(); r != nil {
+			k.fail(r) // from a hook, or a bad Choose index
+			next = nil
 		}
-		k.wg.Wait()
 	}()
-	for {
-		// Assign ready threads to idle processors. An idle processor's
-		// clock catches up to the event that made work available.
-		for _, p := range k.procs {
-			if p.cur != nil {
-				continue
-			}
-			it := k.ready.Pop()
-			if it == nil {
-				break
-			}
-			t := it.Value
-			t.state = stateRunning
-			t.proc = p.id
-			if p.clock < k.lastEvt {
-				p.clock = k.lastEvt
-			}
-			p.quantumLeft = k.cfg.Quantum
-			p.cur = t
-		}
-		// Collect runnable processors.
-		var cand []*proc
-		for _, p := range k.procs {
-			if p.cur != nil {
-				cand = append(cand, p)
-			}
-		}
-		if len(cand) == 0 {
-			live := k.blockedThreads()
-			if len(live) == 0 {
-				return nil // all threads done
-			}
-			return &DeadlockError{Blocked: live}
-		}
-		p := k.pick(cand)
-		if k.aborted {
-			// A Choose/OnStep hook cut the run short (state-cache prune).
-			return ErrAborted
-		}
-		t := p.cur
-		k.lastRun = t
-		// The access executing in this step is the one t declared at its
-		// last yield; save it before the window overwrites t.fp with the
-		// next declaration.
-		exec := t.fp
-
-		// Let the thread run from its current yield point to the next.
-		// Only granted threads send on k.yield and none is running now,
-		// so the handshake cannot mix threads up.
-		t.grant <- struct{}{}
-		got := <-k.yield
-		if got != t {
-			panic(fmt.Sprintf("sim: yield from %s while %s was running", got, t))
-		}
-
-		if k.cfg.OnStep != nil {
-			exec.Sched = exec.Sched || t.stepSched
-			k.cfg.OnStep(t, exec)
-		}
-		t.stepSched = false
-
-		switch t.pendingOp {
-		case opExit:
-			t.state = stateDone
-			p.cur = nil
-		case opBlock:
-			// Whether the block sticks or a pending wakeup consumes it,
-			// the next granted step is the resume window.
-			t.fp = t.resumeFP
-			if t.fp.Kind == AccessNone {
-				t.fp.Kind = AccessResume
-			}
-			t.resumeFP = Footprint{}
-			if t.wakePending {
-				// A wakeup raced ahead of the deschedule; consume it
-				// and keep running (the sleep/wakeup discipline of the
-				// Nub).
-				t.wakePending = false
-				continue
-			}
-			t.state = stateBlocked
-			p.cur = nil
-		case opInstr:
-			cost := t.pendingCost
-			p.clock += cost
-			p.busy += cost
-			t.instret += cost
-			k.steps += cost
-			if p.clock > k.lastEvt {
-				k.lastEvt = p.clock
-			}
-			if k.cfg.MaxSteps > 0 && k.steps > k.cfg.MaxSteps {
-				return ErrStepLimit
-			}
-			// Time slicing: at quantum expiry a preemptible thread goes
-			// back to the ready pool if anyone is waiting to run.
-			if k.cfg.Quantum > 0 && t.preemptible {
-				if cost >= p.quantumLeft {
-					p.quantumLeft = 0
-				} else {
-					p.quantumLeft -= cost
-				}
-				if p.quantumLeft == 0 && !k.ready.Empty() {
-					t.state = stateReady
-					k.ready.Push(t.item)
-					p.cur = nil
-				}
-			}
-		default:
-			panic("sim: thread yielded with no pending operation")
+	if t != nil {
+		if err := k.account(t); err != nil {
+			k.end(err)
+			return nil
 		}
 	}
+	// Assign ready threads to idle processors. An idle processor's clock
+	// catches up to the event that made work available.
+	for _, p := range k.procs {
+		if p.cur != nil {
+			continue
+		}
+		it := k.ready.Pop()
+		if it == nil {
+			break
+		}
+		t := it.Value
+		t.state = stateRunning
+		t.proc = p.id
+		if p.clock < k.lastEvt {
+			p.clock = k.lastEvt
+		}
+		p.quantumLeft = k.cfg.Quantum
+		p.cur = t
+	}
+	cand := k.runnable[:0]
+	for _, p := range k.procs {
+		if p.cur != nil {
+			cand = append(cand, p)
+		}
+	}
+	k.runnable = cand
+	if len(cand) == 0 {
+		if live := k.blockedThreads(); len(live) > 0 {
+			k.end(&DeadlockError{Blocked: live})
+		} else {
+			k.end(nil) // all threads done
+		}
+		return nil
+	}
+	next = k.pick(cand).cur
+	if k.aborted {
+		// A Choose/OnStep hook cut the run short (state-cache prune).
+		k.end(ErrAborted)
+		return nil
+	}
+	k.lastRun = next
+	// The access executing in the granted step is the one next declared
+	// at its last yield; save it before the step overwrites next.fp with
+	// the following declaration.
+	k.exec = next.fp
+	return next
+}
+
+// account charges the step t ended by reaching its yield point (or by
+// exiting): it reports the step to OnStep, then applies the pending
+// operation t declared there. A non-nil error ends the run.
+func (k *Kernel) account(t *T) error {
+	if k.cfg.OnStep != nil {
+		exec := k.exec
+		exec.Sched = exec.Sched || t.stepSched
+		k.cfg.OnStep(t, exec)
+	}
+	t.stepSched = false
+
+	p := k.procs[t.proc]
+	switch t.pendingOp {
+	case opExit:
+		t.state = stateDone
+		p.cur = nil
+	case opBlock:
+		// Whether the block sticks or a pending wakeup consumes it, the
+		// next granted step is the resume window.
+		t.fp = t.resumeFP
+		if t.fp.Kind == AccessNone {
+			t.fp.Kind = AccessResume
+		}
+		t.resumeFP = Footprint{}
+		if t.wakePending {
+			// A wakeup raced ahead of the deschedule; consume it and keep
+			// running (the sleep/wakeup discipline of the Nub).
+			t.wakePending = false
+			return nil
+		}
+		t.state = stateBlocked
+		p.cur = nil
+	case opInstr:
+		cost := t.pendingCost
+		p.clock += cost
+		p.busy += cost
+		t.instret += cost
+		k.steps += cost
+		if p.clock > k.lastEvt {
+			k.lastEvt = p.clock
+		}
+		if k.cfg.MaxSteps > 0 && k.steps > k.cfg.MaxSteps {
+			return ErrStepLimit
+		}
+		// Time slicing: at quantum expiry a preemptible thread goes back
+		// to the ready pool if anyone is waiting to run.
+		if k.cfg.Quantum > 0 && t.preemptible {
+			if cost >= p.quantumLeft {
+				p.quantumLeft = 0
+			} else {
+				p.quantumLeft -= cost
+			}
+			if p.quantumLeft == 0 && !k.ready.Empty() {
+				t.state = stateReady
+				k.ready.Push(t.item)
+				p.cur = nil
+			}
+		}
+	default:
+		panic("sim: thread yielded with no pending operation")
+	}
+	return nil
 }
 
 func (k *Kernel) pick(cand []*proc) *proc {
@@ -446,11 +524,17 @@ func (k *Kernel) pick(cand []*proc) *proc {
 	if k.cfg.Choose != nil {
 		// Canonical order: ascending thread ID, so a decision index means
 		// the same thread on every run with the same prefix of choices.
-		sort.Slice(cand, func(i, j int) bool { return cand[i].cur.id < cand[j].cur.id })
-		ts := make([]*T, len(cand))
-		for i, p := range cand {
-			ts[i] = p.cur
+		// There are at most Procs candidates, so insertion sort.
+		for i := 1; i < len(cand); i++ {
+			for j := i; j > 0 && cand[j].cur.id < cand[j-1].cur.id; j-- {
+				cand[j], cand[j-1] = cand[j-1], cand[j]
+			}
 		}
+		ts := k.cands[:0]
+		for _, p := range cand {
+			ts = append(ts, p.cur)
+		}
+		k.cands = ts
 		i := k.cfg.Choose(k.lastRun, ts)
 		if i < 0 || i >= len(cand) {
 			panic(fmt.Sprintf("sim: Choose returned index %d with %d candidates", i, len(cand)))
@@ -467,7 +551,7 @@ func (k *Kernel) pick(cand []*proc) *proc {
 			min = p.clock
 		}
 	}
-	var tied []*proc
+	tied := cand[:0] // filtered in place: cand is rebuilt every decision
 	for _, p := range cand {
 		if p.clock == min {
 			tied = append(tied, p)
