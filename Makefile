@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build examples vet test race bench bench-baseline bench-check sweep sweep-baseline conformance lint threadsvet explore fuzz
+.PHONY: tier1 build examples vet test race bench bench-baseline bench-check conformance lint threadsvet explore fuzz
 
 tier1: build examples vet race test conformance threadsvet
 
@@ -80,26 +80,15 @@ fuzz:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# bench-baseline regenerates the committed regression baseline; run it only
-# when a change intentionally moves a metric, and commit the new file.
+# bench-baseline regenerates the committed regression baseline, scalar
+# metrics and core-count scaling curves alike; run it only when a change
+# intentionally moves a metric or curve, and commit the new file.
 bench-baseline:
 	$(GO) run ./cmd/threadsbench -json BENCH_1.json
 
 # bench-check compares the current build against the committed baseline on
-# the machine-independent metrics (add -timed manually for same-machine
-# wall-clock comparisons).
+# the machine-independent metrics and the stable curves, at each core count
+# from 1 up to NumCPU (add -timed manually for same-machine wall-clock
+# comparisons; bench/sweep.sh adds pinning and environment control).
 bench-check:
 	$(GO) run ./cmd/threadsbench -baseline BENCH_1.json
-
-# sweep runs the core-count scaling sweep (E11–E13 across GOMAXPROCS) and
-# enforces the committed curves' shape; bench/sweep.sh is the matrix runner
-# with pinning and environment control. SWEEP_FLAGS adds e.g. -timed for
-# same-machine comparisons or -cores/-samples overrides.
-SWEEP_FLAGS ?=
-sweep:
-	$(GO) run ./cmd/threadsbench -sweep -baseline BENCH_2.json $(SWEEP_FLAGS)
-
-# sweep-baseline regenerates the committed curve baseline; run it only when
-# a change intentionally moves a curve, and commit the new file.
-sweep-baseline:
-	$(GO) run ./cmd/threadsbench -sweep -json BENCH_2.json $(SWEEP_FLAGS)

@@ -1,17 +1,18 @@
 #!/usr/bin/env sh
 # Core-count scaling sweep matrix runner.
 #
-# Wraps `threadsbench -sweep` with the environment control that makes
+# Wraps `threadsbench -baseline/-json`, which collect the scaling curves
+# along with the scalar metrics, with the environment control that makes
 # scaling curves comparable run to run: pinning to a fixed CPU set when
 # taskset is available (so the OS does not migrate the benchmark across
 # sockets mid-sample), and a fixed GOGC (so GC pacing does not drift with
 # heap-size luck between runs).
 #
 # Usage:
-#   bench/sweep.sh                       # sweep, compare against BENCH_2.json
-#   bench/sweep.sh -json BENCH_2.json    # regenerate the committed curves
+#   bench/sweep.sh                       # sweep, compare against BENCH_1.json
+#   bench/sweep.sh -json BENCH_1.json    # regenerate the committed baseline
 #   CORES=1,2,4,8 SAMPLES=5 bench/sweep.sh -timed
-#   OUT=sweep.json bench/sweep.sh -json "$OUT" -baseline BENCH_2.json
+#   OUT=sweep.json bench/sweep.sh -json "$OUT" -baseline BENCH_1.json
 #
 # Environment:
 #   CORES    comma-separated GOMAXPROCS values (default: 1,2,4,... to nproc)
@@ -48,7 +49,7 @@ echo "sweep: cores $CORES x $SAMPLES samples on $ncpu-CPU host (GOGC=$GOGC)" >&2
 
 # Default action: enforce the committed curves. Overridden if the caller
 # passes their own -json/-baseline.
-action="-baseline BENCH_2.json"
+action="-baseline BENCH_1.json"
 for arg in "$@"; do
     case "$arg" in
     -json|-baseline) action="" ;;
@@ -56,4 +57,4 @@ for arg in "$@"; do
 done
 
 # shellcheck disable=SC2086 # runner and action are intentionally word-split
-exec $runner go run ./cmd/threadsbench -sweep -cores "$CORES" -samples "$SAMPLES" $action "$@"
+exec $runner go run ./cmd/threadsbench -cores "$CORES" -samples "$SAMPLES" $action "$@"

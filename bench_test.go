@@ -57,25 +57,7 @@ func BenchmarkE1_GoSyncMutexBaseline(b *testing.B) {
 // reportSimPair attaches the simulated-Firefly instruction count of the
 // uncontended pair as a custom metric (the paper's 5 instructions / 10 µs).
 func reportSimPair(b *testing.B, kind string) {
-	w, k := simthreads.NewWorld(sim.Config{Procs: 1})
-	var pair uint64
-	k.Spawn("solo", func(e *sim.Env) {
-		var enter, leave func(*sim.Env)
-		if kind == "mutex" {
-			m := w.NewMutex()
-			enter, leave = m.Acquire, m.Release
-		} else {
-			s := w.NewSemaphore()
-			enter, leave = s.P, s.V
-		}
-		before := e.Instret()
-		enter(e)
-		leave(e)
-		pair = e.Instret() - before
-	})
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
+	pair := bench.SimPairInstr(kind)
 	b.ReportMetric(float64(pair), "sim-instr/pair")
 	b.ReportMetric(float64(pair)*sim.MicroVAXII().MicrosPerInstr, "sim-µs/pair")
 }
@@ -127,38 +109,11 @@ func BenchmarkE2_SimContentionSweep(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkE3_SignalRacingWaiters(b *testing.B) {
+	const waiters = 4
 	multi := 0
 	for i := 0; i < b.N; i++ {
-		w, k := simthreads.NewWorld(sim.Config{
-			Procs: 4, Seed: int64(i), Policy: sim.PolicyRandom, MaxSteps: 3_000_000,
-		})
-		m := w.NewMutex()
-		c := w.NewCondition()
-		var ready, done sim.Word
-		const waiters = 4
-		for j := 0; j < waiters; j++ {
-			k.Spawn("w", func(e *sim.Env) {
-				m.Acquire(e)
-				for e.Load(&ready) == 0 {
-					c.Wait(e, m)
-				}
-				m.Release(e)
-				e.Add(&done, 1)
-			})
-		}
-		signals := 0
-		k.Spawn("d", func(e *sim.Env) {
-			e.Work(50)
-			m.Acquire(e)
-			e.Store(&ready, 1)
-			m.Release(e)
-			for e.Load(&done) != waiters {
-				c.Signal(e)
-				signals++
-				e.Work(100)
-			}
-		})
-		if err := k.Run(); err != nil {
+		signals, _, err := bench.SignalRaceTrial(waiters, int64(i))
+		if err != nil {
 			b.Fatal(err)
 		}
 		if signals < waiters {
@@ -291,38 +246,12 @@ func BenchmarkE7_ModelCheckAlertWait(b *testing.B) {
 func BenchmarkE8_SignalAlertRace(b *testing.B) {
 	alerted := 0
 	for i := 0; i < b.N; i++ {
-		var (
-			m threads.Mutex
-			c threads.Condition
-		)
-		errCh := make(chan error, 1)
-		th := threads.Fork(func() {
-			m.Acquire()
-			err := c.AlertWait(&m)
-			m.Release()
-			errCh <- err
-		})
-		for c.Waiters() == 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
-		var wg sync.WaitGroup
-		wg.Add(2)
 		// Alternate the launch order: the runtime runs the most recent
 		// goroutine first, and the implementation may resolve the
 		// overlap either way.
-		ops := []func(){func() { c.Signal() }, func() { threads.Alert(th) }}
-		if i%2 == 0 {
-			ops[0], ops[1] = ops[1], ops[0]
-		}
-		for _, op := range ops {
-			op := op
-			go func() { defer wg.Done(); op() }()
-		}
-		wg.Wait()
-		if <-errCh != nil {
+		if bench.SignalAlertRaceTrial(i%2 == 0) {
 			alerted++
 		}
-		threads.Join(th)
 	}
 	b.ReportMetric(float64(alerted)/float64(b.N), "alerted-frac")
 }

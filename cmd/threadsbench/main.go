@@ -15,21 +15,18 @@
 //	threadsbench -baseline BENCH_1.json -timed -maxregress 0.25
 //	                                       # also enforce wall-clock metrics
 //
-// The -sweep flag extends -json/-baseline with per-core-count scaling
-// curves: the E11–E13 contended workloads are re-run at each GOMAXPROCS
-// value in -cores (default: doubling up to NumCPU), best of -samples runs
-// per point, and the comparator additionally enforces curve *shape*
-// (internal/bench.CompareCurves):
+// Both -json and -baseline also collect per-core-count scaling curves: the
+// E11–E13 contended workloads are re-run at each GOMAXPROCS value in -cores
+// (default: doubling up to NumCPU), best of -samples runs per point, and
+// the comparator additionally enforces curve *shape*
+// (internal/bench.CompareCurves) on the compared core counts:
 //
-//	threadsbench -sweep -json BENCH_2.json             # collect curves
-//	threadsbench -sweep -baseline BENCH_2.json         # enforce stable curves
-//	threadsbench -sweep -cores 1,2 -samples 1 -quick -baseline BENCH_2.json
-//	                                                   # CI smoke: prefix only
+//	threadsbench -cores 1,2 -samples 1 -quick -baseline BENCH_1.json
 //
 // The profiling flags apply to any mode, so a sweep knee can be diagnosed
 // with pprof instead of guesswork:
 //
-//	threadsbench -sweep -cores 8 -cpuprofile cpu.pb.gz -json /dev/null
+//	threadsbench -cores 8 -cpuprofile cpu.pb.gz -json /dev/null
 //	threadsbench -exp e16 -mutexprofile mutex.pb.gz -blockprofile block.pb.gz
 package main
 
@@ -59,9 +56,8 @@ func run() int {
 		baseline   = flag.String("baseline", "", "collect regression metrics and compare against this baseline")
 		maxRegress = flag.Float64("maxregress", 0.10, "relative tolerance before a metric counts as regressed")
 		timed      = flag.Bool("timed", false, "also enforce wall-clock metrics (same-machine comparisons only)")
-		sweep      = flag.Bool("sweep", false, "with -json/-baseline: also collect per-core-count scaling curves")
-		coresFlag  = flag.String("cores", "", "comma-separated GOMAXPROCS values for -sweep (default: 1,2,4,... up to NumCPU)")
-		samples    = flag.Int("samples", 3, "runs per core count in -sweep; the best is kept")
+		coresFlag  = flag.String("cores", "", "comma-separated GOMAXPROCS values for the scaling curves (default: 1,2,4,... up to NumCPU)")
+		samples    = flag.Int("samples", 3, "runs per core count for the scaling curves; the best is kept")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		mutexProf  = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 		blockProf  = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file")
@@ -84,7 +80,7 @@ func run() int {
 		return runRegression(regressRun{
 			jsonOut: *jsonOut, baselinePath: *baseline,
 			tol: *maxRegress, timed: *timed, quick: *quick,
-			sweep: *sweep, cores: cores, samples: *samples,
+			cores: cores, samples: *samples,
 		})
 	}
 
@@ -148,24 +144,22 @@ func parseCores(s string) ([]int, error) {
 type regressRun struct {
 	jsonOut, baselinePath string
 	tol                   float64
-	timed, quick, sweep   bool
+	timed, quick          bool
 	cores                 []int
 	samples               int
 }
 
 // runRegression handles -json (write a fresh baseline) and -baseline
-// (compare against a committed one); both collect the same metric set, and
-// with -sweep the same curve set.
+// (compare against a committed one); both collect the same metric and
+// curve sets.
 func runRegression(p regressRun) int {
 	fmt.Fprintln(os.Stderr, "threadsbench: collecting regression metrics...")
 	cur := bench.CollectRegressionMetrics(p.quick)
-	if p.sweep {
-		fmt.Fprintf(os.Stderr, "threadsbench: sweeping cores %v x %d samples (NumCPU=%d)...\n",
-			p.cores, p.samples, runtime.NumCPU())
-		cur.Curves = bench.CollectSweep(p.cores, p.samples, p.quick)
-		cur.Schema = 2
-		cur.Note += "; schema 2: curves are per-GOMAXPROCS scaling measurements"
-	}
+	fmt.Fprintf(os.Stderr, "threadsbench: sweeping cores %v x %d samples (NumCPU=%d)...\n",
+		p.cores, p.samples, runtime.NumCPU())
+	cur.Curves = bench.CollectSweep(p.cores, p.samples, p.quick)
+	cur.Schema = 2
+	cur.Note += "; schema 2: curves are per-GOMAXPROCS scaling measurements"
 	for _, m := range cur.Metrics {
 		kind := "stable"
 		if !m.Stable {
@@ -196,12 +190,10 @@ func runRegression(p regressRun) int {
 		return 1
 	}
 	regs := bench.Compare(base, cur, p.tol, p.timed)
-	if p.sweep {
-		regs = append(regs, bench.CompareCurves(base.Curves, cur.Curves, p.cores, p.tol, p.timed)...)
-	}
+	regs = append(regs, bench.CompareCurves(base.Curves, cur.Curves, p.cores, p.tol, p.timed)...)
 	if len(regs) == 0 {
-		fmt.Printf("no regressions against %s (tol %.0f%%, timed=%v, sweep=%v)\n",
-			p.baselinePath, p.tol*100, p.timed, p.sweep)
+		fmt.Printf("no regressions against %s (tol %.0f%%, timed=%v, cores=%v)\n",
+			p.baselinePath, p.tol*100, p.timed, p.cores)
 		return 0
 	}
 	for _, r := range regs {

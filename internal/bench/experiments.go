@@ -71,29 +71,8 @@ func E1(o Options) []*Table {
 instructions, taking 10 microseconds on a MicroVAX II."`,
 		Headers: []string{"operation pair", "sim instructions", "sim µs (MicroVAX II)", "paper", "Go runtime ns/op"},
 	}
-	measureSim := func(build func(w *simthreads.World) (func(e *sim.Env), func(e *sim.Env))) uint64 {
-		w, k := simthreads.NewWorld(sim.Config{Procs: 1})
-		enter, leave := build(w)
-		var pair uint64
-		k.Spawn("solo", func(e *sim.Env) {
-			before := e.Instret()
-			enter(e)
-			leave(e)
-			pair = e.Instret() - before
-		})
-		if err := k.Run(); err != nil {
-			panic(err)
-		}
-		return pair
-	}
-	mutexPair := measureSim(func(w *simthreads.World) (func(e *sim.Env), func(e *sim.Env)) {
-		m := w.NewMutex()
-		return m.Acquire, m.Release
-	})
-	semPair := measureSim(func(w *simthreads.World) (func(e *sim.Env), func(e *sim.Env)) {
-		s := w.NewSemaphore()
-		return s.P, s.V
-	})
+	mutexPair := SimPairInstr("mutex")
+	semPair := SimPairInstr("sem")
 
 	iters := o.pick(200_000, 2_000_000)
 	goPair := func(enter, leave func()) float64 {
@@ -113,6 +92,35 @@ instructions, taking 10 microseconds on a MicroVAX II."`,
 	t.Add("Acquire+Release", mutexPair, F(float64(mutexPair)*micros, 1), "5 instr / 10 µs", F(mutexNs, 1))
 	t.Add("P+V", semPair, F(float64(semPair)*micros, 1), "same as mutex", F(semNs, 1))
 	return []*Table{t}
+}
+
+// SimPairInstr returns the simulated-Firefly instruction count of one
+// uncontended pair on a single processor: Acquire+Release for kind "mutex",
+// P+V for kind "sem". It is exactly reproducible on any machine.
+func SimPairInstr(kind string) uint64 {
+	w, k := simthreads.NewWorld(sim.Config{Procs: 1})
+	var enter, leave func(*sim.Env)
+	switch kind {
+	case "mutex":
+		m := w.NewMutex()
+		enter, leave = m.Acquire, m.Release
+	case "sem":
+		s := w.NewSemaphore()
+		enter, leave = s.P, s.V
+	default:
+		panic(fmt.Sprintf("SimPairInstr: unknown kind %q", kind))
+	}
+	var pair uint64
+	k.Spawn("solo", func(e *sim.Env) {
+		before := e.Instret()
+		enter(e)
+		leave(e)
+		pair = e.Instret() - before
+	})
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+	return pair
 }
 
 // ---------------------------------------------------------------------------
@@ -170,35 +178,8 @@ read and Block when Signal advances the count is released with the popped one.`,
 	for _, waiters := range []int{2, 4, 8} {
 		multi, maxExtra, elidedTotal := 0, 0, uint64(0)
 		for seed := 0; seed < seeds; seed++ {
-			w, k := simthreads.NewWorld(sim.Config{
-				Procs: 4, Seed: int64(seed), Policy: sim.PolicyRandom, MaxSteps: 3_000_000,
-			})
-			m := w.NewMutex()
-			c := w.NewCondition()
-			var ready, done sim.Word
-			for i := 0; i < waiters; i++ {
-				k.Spawn("waiter", func(e *sim.Env) {
-					m.Acquire(e)
-					for e.Load(&ready) == 0 {
-						c.Wait(e, m)
-					}
-					m.Release(e)
-					e.Add(&done, 1)
-				})
-			}
-			signals := 0
-			k.Spawn("driver", func(e *sim.Env) {
-				e.Work(50)
-				m.Acquire(e)
-				e.Store(&ready, 1)
-				m.Release(e)
-				for e.Load(&done) != uint64(waiters) {
-					c.Signal(e)
-					signals++
-					e.Work(100)
-				}
-			})
-			if err := k.Run(); err != nil {
+			signals, elided, err := SignalRaceTrial(waiters, int64(seed))
+			if err != nil {
 				panic(fmt.Sprintf("seed %d: %v", seed, err))
 			}
 			if signals < waiters {
@@ -207,11 +188,48 @@ read and Block when Signal advances the count is released with the popped one.`,
 					maxExtra = extra
 				}
 			}
-			elidedTotal += w.Stats.WaitElided
+			elidedTotal += elided
 		}
 		t.Add(waiters, seeds, multi, maxExtra, elidedTotal)
 	}
 	return []*Table{t}
+}
+
+// SignalRaceTrial runs one seeded simulated-Firefly trial of E3: waiters
+// threads Wait on a condition until a driver sets a flag and then Signals
+// until all of them have left. It returns how many Signals that took
+// (fewer than waiters means one Signal released several threads) and how
+// many Blocks returned without descheduling.
+func SignalRaceTrial(waiters int, seed int64) (signals int, elided uint64, err error) {
+	w, k := simthreads.NewWorld(sim.Config{
+		Procs: 4, Seed: seed, Policy: sim.PolicyRandom, MaxSteps: 3_000_000,
+	})
+	m := w.NewMutex()
+	c := w.NewCondition()
+	var ready, done sim.Word
+	for i := 0; i < waiters; i++ {
+		k.Spawn("waiter", func(e *sim.Env) {
+			m.Acquire(e)
+			for e.Load(&ready) == 0 {
+				c.Wait(e, m)
+			}
+			m.Release(e)
+			e.Add(&done, 1)
+		})
+	}
+	k.Spawn("driver", func(e *sim.Env) {
+		e.Work(50)
+		m.Acquire(e)
+		e.Store(&ready, 1)
+		m.Release(e)
+		for e.Load(&done) != uint64(waiters) {
+			c.Signal(e)
+			signals++
+			e.Work(100)
+		}
+	})
+	err = k.Run()
+	return signals, w.Stats.WaitElided, err
 }
 
 // ---------------------------------------------------------------------------
@@ -514,7 +532,7 @@ it didn't."`,
 	rounds := o.pick(150, 1000)
 	normal, alerted := 0, 0
 	for i := 0; i < rounds; i++ {
-		if signalAlertRaceTrial(i%2 == 0) {
+		if SignalAlertRaceTrial(i%2 == 0) {
 			alerted++
 		} else {
 			normal++
@@ -535,12 +553,12 @@ it didn't."`,
 	return []*Table{t}
 }
 
-// signalAlertRaceTrial blocks one thread in AlertWait, fires Signal and
+// SignalAlertRaceTrial blocks one thread in AlertWait, fires Signal and
 // Alert concurrently (in either launch order, since the implementation is
 // free to resolve the overlap either way and the Go scheduler runs the most
 // recently created goroutine first on an idle processor), and reports
 // whether the Alerted path was taken.
-func signalAlertRaceTrial(signalFirst bool) bool {
+func SignalAlertRaceTrial(signalFirst bool) bool {
 	var (
 		m core.Mutex
 		c core.Condition

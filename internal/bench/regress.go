@@ -13,8 +13,6 @@ import (
 	"threads/internal/checker"
 	"threads/internal/core"
 	"threads/internal/explore"
-	"threads/internal/sim"
-	"threads/internal/simthreads"
 	"threads/internal/workload"
 )
 
@@ -149,19 +147,7 @@ func CollectRegressionMetrics(quick bool) Baseline {
 
 	// E1: the uncontended pair on the simulated Firefly — the paper's
 	// 5-instruction claim, exactly reproducible.
-	w, k := simthreads.NewWorld(sim.Config{Procs: 1})
-	m := w.NewMutex()
-	var pair uint64
-	k.Spawn("solo", func(e *sim.Env) {
-		before := e.Instret()
-		m.Acquire(e)
-		m.Release(e)
-		pair = e.Instret() - before
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-	add("e1.sim_instr_pair", float64(pair), "lower", true, 0)
+	add("e1.sim_instr_pair", float64(SimPairInstr("mutex")), "lower", true, 0)
 
 	// E2: simulated fast-path rate at 5 processors × 8 threads, fixed
 	// seed and size — deterministic.

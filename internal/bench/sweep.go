@@ -4,7 +4,7 @@
 // regresses — a knee appearing at a lower core count — even when every
 // individual point is still within scalar tolerance. Experiment E16 uses
 // the same machinery to measure the scalability fixes (sharded semaphore
-// counters, direct hand-off, the MCS queued spin lock) before and after.
+// counters, direct hand-off) before and after.
 package bench
 
 import (
@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"threads/internal/core"
-	"threads/internal/spinlock"
 )
 
 // Point is one measurement of a scaling curve: the metric's value with
@@ -84,7 +83,7 @@ func sweepWorkloads() []sweepWorkload {
 // rest is scheduler noise). GOMAXPROCS is restored before returning.
 // Values above runtime.NumCPU() oversubscribe the machine; the curve is
 // still meaningful (it measures contention behavior, not parallel
-// speedup), and BENCH_2.json documents the host it was collected on.
+// speedup), and BENCH_1.json documents the host it was collected on.
 func CollectSweep(cores []int, samples int, quick bool) []Curve {
 	return collectSweep(sweepWorkloads(), cores, samples, quick)
 }
@@ -300,24 +299,22 @@ func compareNormalized(b, c Curve, pts []Point, tol float64) []Regression {
 // E16 — the scalability walls, before and after the fixes.
 // ---------------------------------------------------------------------------
 
-// E16 sweeps the contended workloads across core counts with the three
-// scalability fixes switched off (the paper-faithful configuration every
-// earlier experiment measured) and on, and reports the sharded-counter
-// scaling of the counting semaphore separately.
+// E16 sweeps the contended workloads across core counts with direct
+// hand-off off (the paper-faithful configuration every earlier experiment
+// measured) and adaptive, and reports the sharded-counter scaling of the
+// counting semaphore separately.
 func E16(o Options) []*Table {
 	t := &Table{
 		ID:    "E16",
-		Title: "scaling walls: paper-faithful vs scalability fixes (direct hand-off + MCS Nub lock)",
+		Title: "scaling walls: paper-faithful vs scalability fixes (adaptive direct hand-off)",
 		Note: `"paper" is the protocol of SRC Report 20 exactly: TAS Nub spin lock,
 Release clears the bit and wakes a waiter to retry (barging allowed).
 "shipping" adds the adaptive direct hand-off (core.HandoffAdaptive, the
 default: Release gifts the gate to a waiter only once it has waited past the
-starvation threshold). "queued" additionally selects the MCS Nub lock.
+starvation threshold). Both use the paper's test-and-set Nub lock.
 Values are ns/op, best of 2 samples; the knee is the first core count where
 ns/op exceeds twice the curve's minimum. Core counts above NumCPU
-oversubscribe the host — they expose convoy behavior (FIFO hand-off to a
-preempted waiter stalls everyone behind the scheduler), not the cache-line
-storm MCS exists to fix, which needs truly parallel waiters.`,
+oversubscribe the host: they expose convoy behavior, not parallel speedup.`,
 		Headers: []string{"workload", "config", "cores", "ns/op", "vs best", "knee@"},
 	}
 	// Sweep to at least 8 "cores" even on smaller hosts: GOMAXPROCS above
@@ -334,22 +331,15 @@ storm MCS exists to fix, which needs truly parallel waiters.`,
 	samples := 2
 	configs := []struct {
 		name    string
-		queued  bool
 		handoff core.HandoffMode
 	}{
-		{"paper (TAS, wake-retry)", false, core.HandoffOff},
-		{"shipping (TAS, adaptive hand-off)", false, core.HandoffAdaptive},
-		{"queued (MCS, adaptive hand-off)", true, core.HandoffAdaptive},
+		{"paper (TAS, wake-retry)", core.HandoffOff},
+		{"shipping (TAS, adaptive hand-off)", core.HandoffAdaptive},
 	}
-	prevQ := spinlock.Queued()
 	prevH := core.CurrentHandoffMode()
-	defer func() {
-		spinlock.SetQueued(prevQ)
-		core.SetHandoffMode(prevH)
-	}()
+	defer core.SetHandoffMode(prevH)
 	for _, w := range sweepWorkloads() {
 		for _, cfg := range configs {
-			spinlock.SetQueued(cfg.queued)
 			core.SetHandoffMode(cfg.handoff)
 			curves := collectSweep([]sweepWorkload{w}, cores, samples, o.Quick)
 			ns := curves[0]
@@ -369,7 +359,6 @@ storm MCS exists to fix, which needs truly parallel waiters.`,
 			}
 		}
 	}
-	spinlock.SetQueued(prevQ)
 	core.SetHandoffMode(prevH)
 
 	shards := &Table{

@@ -205,25 +205,25 @@ func TestCollectSweepShape(t *testing.T) {
 	}
 }
 
-// TestCommittedSweepBaseline is the committed-curve gate, mirroring the CI
-// sweep-smoke job: a quick 2-core-count sweep of the current build must
-// hold the stable curves of BENCH_2.json on the compared prefix — and an
-// injected regression on those same curves must be caught (the acceptance
-// test that the comparator cannot silently pass).
+// TestCommittedSweepBaseline is the committed-curve gate, mirroring the
+// curve half of make bench-check: a quick 2-core-count sweep of the current
+// build must hold the stable curves of BENCH_1.json on the compared prefix
+// — and an injected regression on those same curves must be caught (the
+// acceptance test that the comparator cannot silently pass).
 func TestCommittedSweepBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collection is slow; run without -short")
 	}
-	path := filepath.Join("..", "..", "BENCH_2.json")
+	path := filepath.Join("..", "..", "BENCH_1.json")
 	if _, err := os.Stat(path); err != nil {
-		t.Skip("no committed BENCH_2.json")
+		t.Skip("no committed BENCH_1.json")
 	}
 	base, err := ReadBaseline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Schema != 2 || len(base.Curves) == 0 {
-		t.Fatalf("BENCH_2.json is not a schema-2 curve baseline: schema=%d curves=%d", base.Schema, len(base.Curves))
+		t.Fatalf("BENCH_1.json is not a schema-2 curve baseline: schema=%d curves=%d", base.Schema, len(base.Curves))
 	}
 	cores := []int{1, 2}
 	cur := CollectSweep(cores, 1, true)

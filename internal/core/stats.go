@@ -58,50 +58,53 @@ type Stats struct {
 	PriRestore uint64 // effective-priority drops (donation removed, SetPriority down)
 }
 
-// statID names one counter; it indexes into a shard's counter block.
+// statID names one counter: the index of its field in Stats viewed as an
+// array of uint64, which is also its index in a shard's counter block.
+// Deriving each ID from its field's offset means a counter cannot land in
+// the wrong Stats field (TestStatsFieldsAreUint64 pins the layout).
 type statID int
 
 const (
-	statAcquireFast statID = iota
-	statAcquireSpin
-	statAcquireNub
-	statAcquireBackout
-	statAcquirePark
-	statReleaseFast
-	statReleaseNub
-	statReleaseHandoff
-	statPFast
-	statPSpin
-	statPNub
-	statPBackout
-	statPPark
-	statVFast
-	statVNub
-	statVHandoff
-	statWaitCount
-	statWaitSpin
-	statWaitElided
-	statWaitPark
-	statSignalFast
-	statSignalNub
-	statSignalWoke
-	statSignalMorph
-	statSignalRepop
-	statBcastFast
-	statBcastNub
-	statBcastWoke
-	statAlerts
-	statAlertWakes
-	statAlertedWait
-	statAlertedP
-	statTestAlertTrue
-	statTimerArm
-	statTimerFire
-	statTimerCancel
-	statTimerDrain
-	statPriBoost
-	statPriRestore
-	numStats
+	statAcquireFast    = statID(unsafe.Offsetof(Stats{}.AcquireFast) / 8)
+	statAcquireSpin    = statID(unsafe.Offsetof(Stats{}.AcquireSpin) / 8)
+	statAcquireNub     = statID(unsafe.Offsetof(Stats{}.AcquireNub) / 8)
+	statAcquireBackout = statID(unsafe.Offsetof(Stats{}.AcquireBackout) / 8)
+	statAcquirePark    = statID(unsafe.Offsetof(Stats{}.AcquirePark) / 8)
+	statReleaseFast    = statID(unsafe.Offsetof(Stats{}.ReleaseFast) / 8)
+	statReleaseNub     = statID(unsafe.Offsetof(Stats{}.ReleaseNub) / 8)
+	statReleaseHandoff = statID(unsafe.Offsetof(Stats{}.ReleaseHandoff) / 8)
+	statPFast          = statID(unsafe.Offsetof(Stats{}.PFast) / 8)
+	statPSpin          = statID(unsafe.Offsetof(Stats{}.PSpin) / 8)
+	statPNub           = statID(unsafe.Offsetof(Stats{}.PNub) / 8)
+	statPBackout       = statID(unsafe.Offsetof(Stats{}.PBackout) / 8)
+	statPPark          = statID(unsafe.Offsetof(Stats{}.PPark) / 8)
+	statVFast          = statID(unsafe.Offsetof(Stats{}.VFast) / 8)
+	statVNub           = statID(unsafe.Offsetof(Stats{}.VNub) / 8)
+	statVHandoff       = statID(unsafe.Offsetof(Stats{}.VHandoff) / 8)
+	statWaitCount      = statID(unsafe.Offsetof(Stats{}.WaitCount) / 8)
+	statWaitSpin       = statID(unsafe.Offsetof(Stats{}.WaitSpin) / 8)
+	statWaitElided     = statID(unsafe.Offsetof(Stats{}.WaitElided) / 8)
+	statWaitPark       = statID(unsafe.Offsetof(Stats{}.WaitPark) / 8)
+	statSignalFast     = statID(unsafe.Offsetof(Stats{}.SignalFast) / 8)
+	statSignalNub      = statID(unsafe.Offsetof(Stats{}.SignalNub) / 8)
+	statSignalWoke     = statID(unsafe.Offsetof(Stats{}.SignalWoke) / 8)
+	statSignalMorph    = statID(unsafe.Offsetof(Stats{}.SignalMorph) / 8)
+	statSignalRepop    = statID(unsafe.Offsetof(Stats{}.SignalRepop) / 8)
+	statBcastFast      = statID(unsafe.Offsetof(Stats{}.BcastFast) / 8)
+	statBcastNub       = statID(unsafe.Offsetof(Stats{}.BcastNub) / 8)
+	statBcastWoke      = statID(unsafe.Offsetof(Stats{}.BcastWoke) / 8)
+	statAlerts         = statID(unsafe.Offsetof(Stats{}.Alerts) / 8)
+	statAlertWakes     = statID(unsafe.Offsetof(Stats{}.AlertWakes) / 8)
+	statAlertedWait    = statID(unsafe.Offsetof(Stats{}.AlertedWait) / 8)
+	statAlertedP       = statID(unsafe.Offsetof(Stats{}.AlertedP) / 8)
+	statTestAlertTrue  = statID(unsafe.Offsetof(Stats{}.TestAlertTrue) / 8)
+	statTimerArm       = statID(unsafe.Offsetof(Stats{}.TimerArm) / 8)
+	statTimerFire      = statID(unsafe.Offsetof(Stats{}.TimerFire) / 8)
+	statTimerCancel    = statID(unsafe.Offsetof(Stats{}.TimerCancel) / 8)
+	statTimerDrain     = statID(unsafe.Offsetof(Stats{}.TimerDrain) / 8)
+	statPriBoost       = statID(unsafe.Offsetof(Stats{}.PriBoost) / 8)
+	statPriRestore     = statID(unsafe.Offsetof(Stats{}.PriRestore) / 8)
+	numStats           = statID(unsafe.Sizeof(Stats{}) / 8)
 )
 
 const cacheLineSize = 64
@@ -188,53 +191,14 @@ func statIncT(t *Thread, id statID) {
 // taken mid-run is suitable only for monotone progress monitoring of a
 // single counter.
 func SnapshotStats() Stats {
-	var c [numStats]uint64
+	var s Stats
+	c := (*[numStats]uint64)(unsafe.Pointer(&s))
 	for i := range statShards {
-		for id := statID(0); id < numStats; id++ {
+		for id := range c {
 			c[id] += statShards[i].c[id].Load()
 		}
 	}
-	return Stats{
-		AcquireFast:    c[statAcquireFast],
-		AcquireSpin:    c[statAcquireSpin],
-		AcquireNub:     c[statAcquireNub],
-		AcquireBackout: c[statAcquireBackout],
-		AcquirePark:    c[statAcquirePark],
-		ReleaseFast:    c[statReleaseFast],
-		ReleaseNub:     c[statReleaseNub],
-		ReleaseHandoff: c[statReleaseHandoff],
-		PFast:          c[statPFast],
-		PSpin:          c[statPSpin],
-		PNub:           c[statPNub],
-		PBackout:       c[statPBackout],
-		PPark:          c[statPPark],
-		VFast:          c[statVFast],
-		VNub:           c[statVNub],
-		VHandoff:       c[statVHandoff],
-		WaitCount:      c[statWaitCount],
-		WaitSpin:       c[statWaitSpin],
-		WaitElided:     c[statWaitElided],
-		WaitPark:       c[statWaitPark],
-		SignalFast:     c[statSignalFast],
-		SignalNub:      c[statSignalNub],
-		SignalWoke:     c[statSignalWoke],
-		SignalMorph:    c[statSignalMorph],
-		SignalRepop:    c[statSignalRepop],
-		BcastFast:      c[statBcastFast],
-		BcastNub:       c[statBcastNub],
-		BcastWoke:      c[statBcastWoke],
-		Alerts:         c[statAlerts],
-		AlertWakes:     c[statAlertWakes],
-		AlertedWait:    c[statAlertedWait],
-		AlertedP:       c[statAlertedP],
-		TestAlertTrue:  c[statTestAlertTrue],
-		TimerArm:       c[statTimerArm],
-		TimerFire:      c[statTimerFire],
-		TimerCancel:    c[statTimerCancel],
-		TimerDrain:     c[statTimerDrain],
-		PriBoost:       c[statPriBoost],
-		PriRestore:     c[statPriRestore],
-	}
+	return s
 }
 
 // ResetStats zeroes all counters.

@@ -1,9 +1,45 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestStatsFieldsAreUint64 pins the layout the counter IDs rely on: Stats
+// is exactly numStats uint64 fields, so field i sits at offset 8i and
+// SnapshotStats may fill the struct as a [numStats]uint64.
+func TestStatsFieldsAreUint64(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	if typ.NumField() != int(numStats) {
+		t.Fatalf("Stats has %d fields, numStats = %d", typ.NumField(), numStats)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 || f.Offset != uintptr(8*i) {
+			t.Errorf("Stats.%s: %s at offset %d, want uint64 at offset %d", f.Name, f.Type, f.Offset, 8*i)
+		}
+	}
+}
+
+// TestShardsFillWholeCacheLines checks that every padded shard type is a
+// whole number of cache lines, so neighbouring shards never share one.
+func TestShardsFillWholeCacheLines(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		size uintptr
+	}{
+		{"registryShard", unsafe.Sizeof(registryShard{})},
+		{"wheelBucket", unsafe.Sizeof(wheelBucket{})},
+		{"statShard", unsafe.Sizeof(statShard{})},
+		{"csemShard", unsafe.Sizeof(csemShard{})},
+		{"traceShard", unsafe.Sizeof(traceShard{})},
+	} {
+		if c.size == 0 || c.size%cacheLineSize != 0 {
+			t.Errorf("%s is %d bytes, not a whole number of %d-byte cache lines", c.name, c.size, cacheLineSize)
+		}
+	}
+}
 
 // TestStatsCrossCounterInvariantsAtQuiescence asserts the relationships
 // between counters that SnapshotStats documents as meaningful only at

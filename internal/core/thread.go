@@ -235,9 +235,9 @@ const (
 )
 
 type registryShard struct {
-	lock spinlock.Lock // 32 bytes (bit+contention+MCS tail+holder)
+	lock spinlock.Lock // 4 bytes, padded to 8 before the map pointer
 	m    map[uint64]*Thread
-	_    [24]byte // round to 64: keep shards on separate cache lines
+	_    [cacheLineSize - 16]byte // round to 64: keep shards on separate cache lines
 }
 
 var registry [registryShards]*registryShard

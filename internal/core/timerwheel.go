@@ -70,7 +70,7 @@ type timerEntry struct {
 type wheelBucket struct {
 	lock spinlock.Lock
 	head *timerEntry //threads:guardedby lock
-	_    [24]byte
+	_    [cacheLineSize - 16]byte
 }
 
 func (b *wheelBucket) push(e *timerEntry) {

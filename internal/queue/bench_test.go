@@ -61,12 +61,3 @@ func BenchmarkPriorityContended(b *testing.B) {
 	for q.Pop() != nil {
 	}
 }
-
-// BenchmarkPriorityContendedMCS is BenchmarkPriorityContended under the MCS
-// queued spin lock, so the two lock algorithms can be compared on the same
-// protected workload (see the E16 sweep for the gate-level comparison).
-func BenchmarkPriorityContendedMCS(b *testing.B) {
-	prev := spinlock.SetQueued(true)
-	defer spinlock.SetQueued(prev)
-	BenchmarkPriorityContended(b)
-}

@@ -1,96 +1,11 @@
 package spinlock
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// withQueued runs f with the package-wide queued mode set, restoring the
-// previous mode afterwards. Tests that toggle the mode must not run in
-// parallel with each other (they don't: Go runs tests in one package
-// sequentially unless t.Parallel is called).
-func withQueued(t *testing.T, on bool, f func()) {
-	t.Helper()
-	prev := SetQueued(on)
-	defer SetQueued(prev)
-	f()
-}
-
-// TestMCSMutualExclusion is the basic safety check in queued mode: no two
-// goroutines inside the critical section at once, no lost update.
-func TestMCSMutualExclusion(t *testing.T) {
-	withQueued(t, true, func() {
-		var l Lock
-		var counter int // deliberately non-atomic: the lock must protect it
-		var inCS atomic.Int32
-		const goroutines, iters = 8, 2000
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					l.Lock()
-					if inCS.Add(1) != 1 {
-						t.Error("two goroutines inside the MCS critical section")
-					}
-					counter++
-					inCS.Add(-1)
-					l.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		if counter != goroutines*iters {
-			t.Fatalf("lost update under MCS: counter = %d, want %d", counter, goroutines*iters)
-		}
-		if l.Held() {
-			t.Fatal("lock still held after all goroutines finished")
-		}
-	})
-}
-
-// TestMCSTryLock checks the empty-queue-only TryLock in queued mode.
-func TestMCSTryLock(t *testing.T) {
-	withQueued(t, true, func() {
-		var l Lock
-		if !l.TryLock() {
-			t.Fatal("TryLock failed on a free MCS lock")
-		}
-		if l.TryLock() {
-			t.Fatal("TryLock succeeded on a held MCS lock")
-		}
-		l.Unlock()
-		if !l.TryLock() {
-			t.Fatal("TryLock failed after Unlock")
-		}
-		l.Unlock()
-	})
-}
-
-// TestMCSModeSwitchMidHold releases correctly when the mode flag flips
-// between an acquire and its release: Unlock dispatches on how the lock was
-// acquired, not on the current mode.
-func TestMCSModeSwitchMidHold(t *testing.T) {
-	prev := SetQueued(true)
-	defer SetQueued(prev)
-	var l Lock
-	l.Lock() // MCS acquisition
-	SetQueued(false)
-	l.Unlock() // must go down the MCS release path
-	if l.Held() {
-		t.Fatal("lock held after cross-mode Unlock")
-	}
-	l.Lock() // TAS acquisition
-	SetQueued(true)
-	l.Unlock()
-	if l.Held() {
-		t.Fatal("lock held after cross-mode Unlock (TAS→MCS)")
-	}
-}
 
 // acquisitionCounts runs one "pinned" spinner and n-1 contenders hammering
 // the same lock for the given duration and returns each goroutine's
@@ -130,59 +45,21 @@ func acquisitionCounts(n int, d time.Duration) []uint64 {
 	return counts
 }
 
-// TestMCSFairness is the starvation test the TAS lock cannot pass in
-// general: with one goroutine re-acquiring in a tight loop, every contender
-// must still make progress, and under MCS's FIFO hand-off no goroutine can
-// be served disproportionately — each acquisition waits behind every
-// earlier arrival exactly once.
-//
-// The assertion is deliberately loose (every goroutine acquires at least
-// once, and the pinned spinner cannot take essentially the whole lock) so
-// scheduler noise cannot flake it; TAS runs on a single line routinely give
-// the spinner >99.9% of acquisitions, two orders of magnitude past the
-// bound.
-func TestMCSFairness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based stress test")
-	}
-	withQueued(t, true, func() {
-		n := runtime.GOMAXPROCS(0) + 2 // oversubscribe: hand-off must tolerate descheduled successors
-		counts := acquisitionCounts(n, 200*time.Millisecond)
-		var total, min uint64
-		min = ^uint64(0)
-		for _, c := range counts {
-			total += c
-			if c < min {
-				min = c
-			}
-		}
-		if min == 0 {
-			t.Fatalf("a contender was starved outright under MCS: counts = %v", counts)
-		}
-		if frac := float64(counts[0]) / float64(total); frac > 0.90 {
-			t.Fatalf("pinned spinner took %.1f%% of %d acquisitions under MCS (counts = %v)",
-				frac*100, total, counts)
-		}
-	})
-}
-
 // TestTASProgress documents what the TAS lock does guarantee (and all it
 // guarantees): someone always makes progress. No per-goroutine fairness is
-// asserted — the unfairness is the motivation for the MCS mode, and E16
-// measures it rather than asserting it, since on a lightly loaded machine
-// the Go scheduler's preemption can accidentally rescue the contenders.
+// asserted — the paper's spin lock promises none, and on a lightly loaded
+// machine the Go scheduler's preemption can accidentally rescue the
+// contenders anyway.
 func TestTASProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based stress test")
 	}
-	withQueued(t, false, func() {
-		counts := acquisitionCounts(4, 50*time.Millisecond)
-		var total uint64
-		for _, c := range counts {
-			total += c
-		}
-		if total == 0 {
-			t.Fatalf("no acquisitions at all under TAS: counts = %v", counts)
-		}
-	})
+	counts := acquisitionCounts(4, 50*time.Millisecond)
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		t.Fatalf("no acquisitions at all under TAS: counts = %v", counts)
+	}
 }

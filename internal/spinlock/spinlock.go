@@ -15,31 +15,10 @@ import (
 	"sync/atomic"
 )
 
-// Lock is a spin lock. The zero value is an unlocked Lock. A Lock must not
-// be copied after first use.
-//
-// Two algorithms share the type, selected process-wide by SetQueued: the
-// paper's test-and-set loop on a shared bit (the default), and the MCS
-// queued lock (mcs.go), under which each waiter spins on a private,
-// cache-line-padded queue node and acquisitions are served FIFO. The
-// observable semantics — mutual exclusion, Unlock by the holder only — are
-// identical; what changes is the contention behavior the scaling sweep
-// measures.
+// Lock is a spin lock: the paper's single shared bit. The zero value is an
+// unlocked Lock. A Lock must not be copied after first use.
 type Lock struct {
 	bit atomic.Uint32
-	// contention counts failed first test-and-set attempts (TAS mode) or
-	// enqueues behind a predecessor (MCS mode); it feeds the contention
-	// statistics the paper mentions collecting.
-	contention atomic.Uint64
-	// tail is the MCS queue tail; nil means unlocked in queued mode.
-	tail atomic.Pointer[qnode]
-	// holder is the acquiring node of the current MCS holder. It is
-	// written only by the holder (set under the lock, cleared by Unlock
-	// before the hand-off), so plain accesses are ordered by the lock's
-	// own happens-before chain; non-holders never touch it. Unlock
-	// dispatches on it, which keeps a release correct even if the mode
-	// toggles between an acquire and its release.
-	holder *qnode
 }
 
 // active spin iterations before the acquirer starts yielding its processor.
@@ -51,17 +30,11 @@ const activeSpin = 16
 // between observations of the lock bit.
 const pauseIters = 8
 
-// Lock acquires the spin lock, busy-waiting until the bit is clear (or, in
-// queued mode, until the predecessor hands off).
+// Lock acquires the spin lock, busy-waiting until the bit is clear.
 func (l *Lock) Lock() {
-	if queued.Load() {
-		l.lockMCS()
-		return
-	}
 	if l.bit.CompareAndSwap(0, 1) {
 		return // the common, uncontended path: one test-and-set
 	}
-	l.contention.Add(1)
 	for {
 		// The spin budget resets every round: it measures how long the
 		// *current* holder has kept us waiting. (Carrying it across
@@ -104,34 +77,19 @@ func Pause(iters int) {
 
 // TryLock acquires the lock if it is free and reports whether it did.
 func (l *Lock) TryLock() bool {
-	if queued.Load() {
-		return l.tryLockMCS()
-	}
 	return l.bit.CompareAndSwap(0, 1)
 }
 
-// Unlock releases the spin lock. It must only be called by the holder; the
-// lock does not record holding threads (just as the paper's mutex
-// implementation records no holder), so misuse is not detected. The release
-// path matches the acquire path: a non-nil holder node means this
-// acquisition went through MCS, whatever the mode flag says now.
+// Unlock releases the spin lock by clearing the bit. It must only be called
+// by the holder; the lock does not record holding threads (just as the
+// paper's mutex implementation records no holder), so misuse is not
+// detected.
 func (l *Lock) Unlock() {
-	if n := l.holder; n != nil {
-		l.holder = nil
-		l.unlockMCS(n)
-		return
-	}
 	l.bit.Store(0)
 }
 
 // Held reports whether the lock is currently held by some processor. It is
 // advisory: the answer may be stale by the time the caller inspects it.
 func (l *Lock) Held() bool {
-	return l.bit.Load() != 0 || l.tail.Load() != nil
-}
-
-// Contention returns the number of Lock calls that did not succeed on their
-// first test-and-set.
-func (l *Lock) Contention() uint64 {
-	return l.contention.Load()
+	return l.bit.Load() != 0
 }

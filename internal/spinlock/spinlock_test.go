@@ -98,26 +98,6 @@ func TestCriticalSectionOverlap(t *testing.T) {
 	}
 }
 
-func TestContentionCounter(t *testing.T) {
-	var l Lock
-	l.Lock()
-	done := make(chan struct{})
-	go func() {
-		l.Lock()
-		l.Unlock()
-		close(done)
-	}()
-	// Give the contender time to fail its first test-and-set.
-	for i := 0; l.Contention() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if l.Contention() == 0 {
-		t.Fatal("contention counter never incremented while lock was held")
-	}
-	l.Unlock()
-	<-done
-}
-
 func TestZeroValueIsUnlocked(t *testing.T) {
 	var l Lock
 	if l.Held() {
