@@ -15,7 +15,6 @@ import (
 	"threads/internal/bench"
 	"threads/internal/checker"
 	"threads/internal/sim"
-	"threads/internal/simthreads"
 	"threads/internal/spec"
 	"threads/internal/trace"
 	"threads/internal/workload"
@@ -261,52 +260,10 @@ func BenchmarkE8_SignalAlertRace(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkE9_TraceConformance(b *testing.B) {
-	// Record one traced producer-consumer run, then measure replay cost.
-	var events []trace.Event
-	cfg := sim.Config{
-		Procs: 4, Seed: 7, Policy: sim.PolicyRandom, MaxSteps: 5_000_000,
-		Trace: func(ev sim.Event) {
-			if a, ok := ev.Payload.(spec.Action); ok {
-				events = append(events, trace.Event{Seq: ev.Seq, Action: a})
-			}
-		},
-	}
-	w, k := simthreads.NewWorld(cfg)
-	m := w.NewMutex()
-	c := w.NewCondition()
-	var queue, consumed sim.Word
-	const total = 60
-	for i := 0; i < 2; i++ {
-		k.Spawn("p", func(e *sim.Env) {
-			for n := 0; n < total/2; n++ {
-				m.Acquire(e)
-				e.Add(&queue, 1)
-				m.Release(e)
-				c.Signal(e)
-			}
-		})
-		k.Spawn("c", func(e *sim.Env) {
-			for {
-				m.Acquire(e)
-				for e.Load(&queue) == 0 {
-					if e.Load(&consumed) >= total {
-						m.Release(e)
-						c.Broadcast(e)
-						return
-					}
-					c.Wait(e, m)
-				}
-				e.Add(&queue, ^uint64(0))
-				n := e.Add(&consumed, 1)
-				m.Release(e)
-				if n >= total {
-					c.Broadcast(e)
-					return
-				}
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
+	// Record one traced run of E9's producer-consumer, then measure replay
+	// cost.
+	events, err := bench.TraceE9(bench.BuildPC, 7)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

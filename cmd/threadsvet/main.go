@@ -4,14 +4,13 @@
 //
 //	threadsvet ./...
 //	threadsvet -only waitloop,lockpair ./internal/workload
-//	threadsvet -lockorder.interprocedural -report vet.txt ./...
+//	threadsvet -report vet.txt ./...
 //	threadsvet -report=github -report vet.txt ./...   # CI annotations + artifact
 //	threadsvet -guardedby.suggest ./...
 //
 // All matched packages are analyzed as one program, so the
-// interprocedural analyzers (guardedby, lockpair, nubdiscipline, and
-// lockorder's -lockorder.interprocedural mode) see function summaries
-// across package boundaries.
+// interprocedural analyzers (guardedby, lockpair, lockorder and
+// nubdiscipline) see function summaries across package boundaries.
 //
 // -report takes a file path, or the special value "github" to emit
 // GitHub Actions workflow commands (::error file=…,line=…::message) that
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		only    = fs.String("only", "", "comma-separated analyzers to run (default: all)")
 		skip    = fs.String("skip", "", "comma-separated analyzers to skip")
 		tests   = fs.Bool("tests", false, "also analyze _test.go files")
-		inter   = fs.Bool("lockorder.interprocedural", false, "close lock-order edges through calls, across packages (slower; CI runs this nightly)")
 		suggest = fs.Bool("guardedby.suggest", false, "print advisory //threads:guardedby annotation suggestions for consistently guarded fields")
 		list    = fs.Bool("list", false, "list the analyzers and exit")
 	)
@@ -95,9 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := map[string]string{}
-	if *inter {
-		opts["lockorder.interprocedural"] = "true"
-	}
 	if *suggest {
 		opts["guardedby.suggest"] = "true"
 	}

@@ -51,7 +51,7 @@ type Pass struct {
 	// (w := c.Wait): uses the resolver cannot follow.
 	MethodVals []*MethodValue
 
-	// Options carries driver flags ("lockorder.interprocedural": "true").
+	// Options carries driver flags ("guardedby.suggest": "true").
 	Options map[string]string
 
 	sites   map[*ast.CallExpr]*CallSite

@@ -33,9 +33,8 @@ func TestLockPairCrossPackage(t *testing.T) {
 
 // The A → B edge is closed only through orderdep.LockB.
 func TestLockOrderCrossPackage(t *testing.T) {
-	opts := map[string]string{"lockorder.interprocedural": "true"}
-	runFixturePkgs(t, []string{"orderdep", "orderuse"}, LockOrder, opts)
-	requireNoFindings(t, "orderuse", LockOrder, opts)
+	runFixturePkgs(t, []string{"orderdep", "orderuse"}, LockOrder, nil)
+	requireNoFindings(t, "orderuse", LockOrder, nil)
 }
 
 // The allocation is inside nubdep.Grow, reachable only through its

@@ -20,12 +20,11 @@ import (
 // mutexes globally; see RefKey). A cycle in the graph is a lock-order
 // inversion some schedule can turn into deadlock.
 //
-// With Pass.Options["lockorder.interprocedural"] set, acquiring a lock
-// inside a callee — declared in this package or any other package of the
-// analyzed program — also closes edges from locks held at the call site:
-// the Program's function summaries record which class-keyed locks each
-// function acquires transitively over the cross-package call graph. This
-// is the slower mode CI runs nightly.
+// Acquiring a lock inside a callee — declared in this package or any other
+// package of the analyzed program — also closes edges from locks held at
+// the call site: the Program's function summaries, which the other
+// interprocedural analyzers build anyway, record which class-keyed locks
+// each function acquires transitively over the cross-package call graph.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "report cycles in the static lock-acquisition order as potential " +
@@ -39,7 +38,7 @@ type lockEdge struct {
 	to      string
 	toDisp  string
 	fromPos token.Pos // where `from` was acquired is not retained; pos is this edge's site
-	detail  string    // "" for direct edges, "via call to f" interprocedurally
+	detail  string    // "" for direct edges, "via call to f" through a callee
 }
 
 func runLockOrder(pass *Pass) error {
@@ -62,9 +61,8 @@ func runLockOrder(pass *Pass) error {
 		}
 	}
 
-	inter := pass.Options["lockorder.interprocedural"] == "true"
 	var sums *Summaries
-	if inter && pass.Prog != nil {
+	if pass.Prog != nil {
 		sums = pass.Prog.Summaries()
 	}
 

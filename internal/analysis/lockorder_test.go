@@ -6,21 +6,7 @@ func TestLockOrder(t *testing.T) {
 	runFixture(t, "lockorder", LockOrder, nil)
 }
 
+// The x → y edge is closed only through the call to lockY.
 func TestLockOrderInterprocedural(t *testing.T) {
-	runFixture(t, "lockorder_inter", LockOrder,
-		map[string]string{"lockorder.interprocedural": "true"})
-}
-
-// Without the interprocedural option the x → y edge (closed only through
-// the call to lockY) must not exist, so the same fixture is clean.
-func TestLockOrderIntraMissesCallEdges(t *testing.T) {
-	pkg := loadFixture(t, "lockorder_inter")
-	d := &Driver{Analyzers: []*Analyzer{LockOrder}}
-	findings, err := d.Run(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("unexpected intraprocedural finding: %s", f)
-	}
+	runFixture(t, "lockorder_inter", LockOrder, nil)
 }

@@ -81,10 +81,6 @@ func NewProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// PackageByPath returns the program package with the given import path, or
-// nil — the test for "can this call be followed".
-func (prog *Program) PackageByPath(path string) *Package { return prog.byPath[path] }
-
 // Summaries returns the program's lazily built cross-package summary
 // engine.
 func (prog *Program) Summaries() *Summaries {
@@ -146,13 +142,4 @@ func normalizedTypeName(t types.Type) string {
 		s = s[:i]
 	}
 	return s
-}
-
-// declOf finds fn's declaration inside the program, or nil.
-func (prog *Program) declOf(fn *types.Func) *declSite {
-	key := FuncKeyOf(fn)
-	if key == "" {
-		return nil
-	}
-	return prog.decls[key]
 }

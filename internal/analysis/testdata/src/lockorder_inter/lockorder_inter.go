@@ -1,6 +1,6 @@
-// Fixture for the lockorder analyzer's interprocedural mode: the x → y
-// edge exists only through the call to lockY, so the cycle is invisible to
-// the intraprocedural analysis (lockorder_test.go checks both modes).
+// Fixture for the lockorder analyzer's call edges: the x → y edge exists
+// only through the call to lockY, so only the function summaries reveal
+// the cycle.
 package lockorderinterfix
 
 import "threads"

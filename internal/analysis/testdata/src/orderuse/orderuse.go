@@ -1,7 +1,6 @@
 // Fixture for cross-package lockorder checking: the A → B edge is closed
-// only through orderdep.LockB, so the cycle is invisible both to the
-// intraprocedural analysis and to a same-package interprocedural run of
-// this package alone (lockorder_test.go pins both misses).
+// only through orderdep.LockB, so the cycle is invisible to a run of this
+// package alone (interproc_test.go pins the miss).
 package orderusefix
 
 import dep "threads/internal/analysis/testdata/src/orderdep"

@@ -72,14 +72,6 @@ func (sc *SemCond) Broadcast() {
 // Guaranteed reports Mesa-style hint semantics.
 func (sc *SemCond) Guaranteed() bool { return false }
 
-// Stranded reports how many threads are currently blocked inside Wait
-// (advisory; used by experiment E5 after a Broadcast to count strandees).
-func (sc *SemCond) Stranded() int {
-	// Threads counted in waiters but not blocked on the semaphore are
-	// mid-window; after quiescence the remainder are stranded on P.
-	return sc.s.Waiters()
-}
-
 // SemCondMonitor packages a mutex with SemCond conditions behind the
 // Monitor interface (Signal-only workloads; Broadcast is the known
 // failure).

@@ -611,23 +611,13 @@ REQUIRES / WHEN / ENSURES clause. Violations found: must be zero.`,
 		build func(w *simthreads.World, k *simthreads.Kernel)
 	}{
 		{"mutex contention (4 threads)", buildContention},
-		{"producer-consumer (2+2)", buildPC},
+		{"producer-consumer (2+2)", BuildPC},
 		{"alerts + semaphores", buildAlerts},
 	} {
 		events, violations := 0, 0
 		for seed := 0; seed < seeds; seed++ {
-			var evs []trace.Event
-			cfg := sim.Config{
-				Procs: 4, Seed: int64(seed), Policy: sim.PolicyRandom, MaxSteps: 5_000_000,
-				Trace: func(ev sim.Event) {
-					if a, ok := ev.Payload.(spec.Action); ok {
-						evs = append(evs, trace.Event{Seq: ev.Seq, Thread: ev.Thread.Name(), Action: a})
-					}
-				},
-			}
-			w, k := simthreads.NewWorld(cfg)
-			wl.build(w, k)
-			if err := k.Run(); err != nil {
+			evs, err := TraceE9(wl.build, int64(seed))
+			if err != nil {
 				panic(fmt.Sprintf("%s seed %d: %v", wl.name, seed, err))
 			}
 			n, err := trace.CheckAll(evs)
@@ -639,6 +629,24 @@ REQUIRES / WHEN / ENSURES clause. Violations found: must be zero.`,
 		t.Add(wl.name, seeds, events, violations)
 	}
 	return []*Table{t}
+}
+
+// TraceE9 records one run of an E9 workload: build's threads on a
+// four-processor simulated Firefly, scheduled at random from seed, with
+// every specification action they emit collected in emission order.
+// BenchmarkE9_TraceConformance replays the producer-consumer's trace.
+func TraceE9(build func(*simthreads.World, *simthreads.Kernel), seed int64) ([]trace.Event, error) {
+	var evs []trace.Event
+	w, k := simthreads.NewWorld(sim.Config{
+		Procs: 4, Seed: seed, Policy: sim.PolicyRandom, MaxSteps: 5_000_000,
+		Trace: func(ev sim.Event) {
+			if a, ok := ev.Payload.(spec.Action); ok {
+				evs = append(evs, trace.Event{Seq: ev.Seq, Thread: ev.Thread.Name(), Action: a})
+			}
+		},
+	})
+	build(w, k)
+	return evs, k.Run()
 }
 
 func buildContention(w *simthreads.World, k *simthreads.Kernel) {
@@ -654,7 +662,9 @@ func buildContention(w *simthreads.World, k *simthreads.Kernel) {
 	}
 }
 
-func buildPC(w *simthreads.World, k *simthreads.Kernel) {
+// BuildPC is E9's producer-consumer: two producers and two consumers on a
+// three-slot buffer guarded by one mutex and two conditions.
+func BuildPC(w *simthreads.World, k *simthreads.Kernel) {
 	m := w.NewMutex()
 	nonEmpty := w.NewCondition()
 	nonFull := w.NewCondition()

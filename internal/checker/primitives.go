@@ -141,13 +141,3 @@ func Primitives() []*Primitive {
 		},
 	}
 }
-
-// PrimitiveByName returns the named primitive, or nil.
-func PrimitiveByName(name string) *Primitive {
-	for _, p := range Primitives() {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}

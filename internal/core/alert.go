@@ -36,17 +36,15 @@ var Alerted = errors.New("threads: alerted")
 // (AlertWaitDeadline, AlertPDeadline, AcquireDeadline) discharge this
 // obligation internally and should be preferred for timeouts.
 func Alert(t *Thread) {
-	statIncT(t, statAlerts)
-	traced := traceOn.Load()
-	var seq, tid uint64
-	if traced {
-		tid = Self().id
-	} else {
+	statInc(statAlerts)
+	tc := traceCtxFor(instr.Load(), TraceAlert, nil)
+	traced := tc.kind != TraceNone
+	var seq uint64
+	if !traced {
 		// Setting the flag before taking the lock narrows the window in
 		// which a concurrent blocking path tests it; traced, the store
 		// moves under the lock so the stamp and the insertion are one
-		// critical section (the flag is also re-stored below, which is
-		// idempotent — alerts is a set).
+		// critical section.
 		t.alerted.Store(true)
 	}
 	t.alertLock.Lock()
@@ -59,18 +57,14 @@ func Alert(t *Thread) {
 	// held and alertW is non-nil, the registered episode cannot end, so
 	// the claim cannot leak onto a reused waiter's later episode.
 	w := t.alertW
-	if w != nil && w.claim(reasonAlert) {
-		t.alertLock.Unlock()
-		if traced {
-			traceEmit(seq, TraceAlert, tid, 0, t.id, false)
-		}
-		w.wake()
-		statIncT(t, statAlertWakes)
-		return
-	}
+	woke := w != nil && w.claim(reasonAlert)
 	t.alertLock.Unlock()
 	if traced {
-		traceEmit(seq, TraceAlert, tid, 0, t.id, false)
+		traceEmit(seq, tc.kind, tc.tid, 0, t.id, false)
+	}
+	if woke {
+		w.wake()
+		statInc(statAlertWakes)
 	}
 }
 
@@ -89,7 +83,7 @@ func TestAlert() bool { return testAlertT(Self()) }
 // pay it twice.
 func testAlertT(t *Thread) bool {
 	var b bool
-	if traceOn.Load() {
+	if tracing() {
 		// Stamp the read-and-delete under alertLock so it cannot straddle a
 		// concurrent Alert's insertion: the trace shows either the alert
 		// consumed (Alert before TestAlert) or pending (after), never both.
@@ -102,7 +96,7 @@ func testAlertT(t *Thread) bool {
 		b = t.alerted.Swap(false)
 	}
 	if b {
-		statIncT(t, statTestAlertTrue)
+		statInc(statTestAlertTrue)
 	}
 	return b
 }
@@ -133,7 +127,7 @@ func (t *Thread) clearAlertWaiter() {
 // thread's membership bit — so the Raise event cannot invert with a
 // concurrent Alert or TestAlert.
 func (t *Thread) consumeAlertEmit(kind TraceKind, obj, obj2 uint64) {
-	if !traceOn.Load() {
+	if !tracing() {
 		t.alerted.Store(false)
 		return
 	}

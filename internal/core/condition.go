@@ -76,7 +76,8 @@ func (c *Condition) enqueueTraced(m *Mutex, t *Thread) (i, mObj, cObj uint64) {
 	seq := nextTraceSeq()
 	c.nub.Unlock()
 	traceEmit(seq, TraceEnqueue, t.id, mObj, cObj, false)
-	m.releaseEnqueue(seq)
+	m.leaving(instr.Load(), t, "Wait")
+	m.g.releaseEmbed(&mutexGateStats, seq)
 	return i, mObj, cObj
 }
 
@@ -89,7 +90,7 @@ func (c *Condition) enqueueTraced(m *Mutex, t *Thread) (i, mObj, cObj uint64) {
 // re-evaluated, and Wait called again if it does not hold.
 func (c *Condition) Wait(m *Mutex) {
 	statInc(statWaitCount)
-	if traceOn.Load() {
+	if tracing() {
 		t := Self()
 		c.committed.Add(1)
 		i, mObj, cObj := c.enqueueTraced(m, t)
@@ -102,9 +103,7 @@ func (c *Condition) Wait(m *Mutex) {
 			// reacquisition is already done. (A demoted hand-off arrives
 			// with hseq 0 and reacquires below like a plain wake.)
 			traceEmit(hseq, TraceResume, t.id, mObj, cObj, false)
-			if checking.Load() {
-				m.holder.Store(t.id)
-			}
+			m.entered(instr.Load(), t)
 			return
 		}
 		// The Resume action (WHEN m = NIL & NOT SELF IN c, ENSURES
@@ -119,9 +118,8 @@ func (c *Condition) Wait(m *Mutex) {
 	c.committed.Add(-1)
 	if reason == reasonHandoff {
 		// Untraced hand-off: the mutex bit never cleared; we hold it.
-		if checking.Load() {
-			m.holder.Store(Self().id)
-		}
+		mode := instr.Load()
+		m.entered(mode, m.self(mode, true))
 		return
 	}
 	m.Acquire() //threadsvet:ignore lockpair: Wait itself: reacquire on resumption; the caller holds m across Wait
@@ -251,18 +249,14 @@ func (c *Condition) Signal() {
 		return
 	}
 	statInc(statSignalNub)
-	var tid uint64
-	traced := traceOn.Load()
-	if traced {
-		tid = Self().id
-	}
+	tc := traceCtxFor(instr.Load(), TraceSignal, nil)
 	c.nub.Lock()
 	c.ec.Advance()
-	if traced {
+	if tc.kind != TraceNone {
 		// Stamped inside the same critical section as the advance, so the
 		// Signal orders correctly against every Enqueue stamp (drawn under
 		// this lock at the eventcount read) and every other advance.
-		traceEmit(nextTraceSeq(), TraceSignal, tid, traceObjID(&c.traceID), 0, false)
+		traceEmit(nextTraceSeq(), tc.kind, tc.tid, traceObjID(&c.traceID), 0, false)
 	}
 	for {
 		n := c.q.Pop()
@@ -345,16 +339,12 @@ func (c *Condition) Broadcast() {
 		return
 	}
 	statInc(statBcastNub)
-	var tid uint64
-	traced := traceOn.Load()
-	if traced {
-		tid = Self().id
-	}
+	tc := traceCtxFor(instr.Load(), TraceBroadcast, nil)
 	var woke uint64
 	c.nub.Lock()
 	c.ec.Advance()
-	if traced {
-		traceEmit(nextTraceSeq(), TraceBroadcast, tid, traceObjID(&c.traceID), 0, false)
+	if tc.kind != TraceNone {
+		traceEmit(nextTraceSeq(), tc.kind, tc.tid, traceObjID(&c.traceID), 0, false)
 	}
 	// Claim and wake under the Nub lock: wake never blocks (the parking
 	// place is buffered), claims stay within the popped episodes, and the
@@ -402,9 +392,9 @@ func (c *Condition) AlertWait(m *Mutex) error { return c.alertWait(m, Self()) }
 // alertWait is AlertWait with SELF already recovered, so AlertWaitDeadline
 // pays the identity lookup once per operation rather than once per layer.
 func (c *Condition) alertWait(m *Mutex, t *Thread) error {
-	statIncT(t, statWaitCount)
+	statInc(statWaitCount)
 	c.committed.Add(1)
-	if traceOn.Load() {
+	if tracing() {
 		i, mObj, cObj := c.enqueueTraced(m, t)
 		reason, _ := c.block(i, t, nil)
 		c.committed.Add(-1)
@@ -420,7 +410,7 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 			// next one in stamp order.
 			m.acquireResume(t, traceCtx{})
 			t.consumeAlertEmit(TraceAlertResumeRaise, mObj, cObj)
-			statIncT(t, statAlertedWait)
+			statInc(statAlertedWait)
 			return Alerted
 		}
 		m.acquireResume(t, traceCtx{kind: TraceAlertResumeReturn, tid: t.id, obj2: cObj})
@@ -433,7 +423,7 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 	m.Acquire() //threadsvet:ignore lockpair: AlertWait itself: reacquire on resumption; the caller holds m across AlertWait
 	if reason == reasonAlert {
 		t.alerted.Store(false)
-		statIncT(t, statAlertedWait)
+		statInc(statAlertedWait)
 		return Alerted
 	}
 	return nil

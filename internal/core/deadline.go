@@ -59,7 +59,7 @@ func finishDeadline(t *Thread, e *timerEntry, waitErr error) error {
 		// may still be pending on this thread — consume it now, while it
 		// is provably ours, so it cannot leak into a later wait.
 		if testAlertT(t) {
-			statIncT(t, statTimerDrain)
+			statInc(statTimerDrain)
 		}
 		if waitErr != nil {
 			return DeadlineExceeded
@@ -114,8 +114,8 @@ func (s *Semaphore) AlertPDeadline(deadline time.Time) error {
 // the alert with TestAlert, an operation the specification admits anywhere.
 func (m *Mutex) AcquireDeadline(deadline time.Time) error {
 	t := Self()
-	check := checking.Load()
-	if check && m.holder.Load() == t.id {
+	mode := instr.Load()
+	if mode&instrCheck != 0 && m.holder.Load() == t.id {
 		panic("threads: recursive AcquireDeadline would deadlock: " + t.name + " already holds the mutex")
 	}
 	if !time.Now().Before(deadline) {
@@ -127,19 +127,14 @@ func (m *Mutex) AcquireDeadline(deadline time.Time) error {
 	}
 	e := t.armDeadline(deadline)
 	var waitErr error
-	if m.g.alertableAcquire(t, &mutexGateStats, traceAcquireCtx(TraceAcquire)) {
+	if m.g.alertableAcquire(t, &mutexGateStats, traceCtxFor(mode, TraceAcquire, t)) {
 		// Unlike AlertP there is no Raise trace action for a mutex, so
 		// the alerts-set deletion is a TestAlert: spec-admissible at any
 		// point, and stamped honestly when tracing.
 		_ = testAlertT(t) // consumes the alert that ended the wait; finishDeadline maps it to DeadlineExceeded or Alerted
 		waitErr = Alerted
 	} else {
-		if check {
-			m.holder.Store(t.id)
-		}
-		if m.g.pi.Load() {
-			m.g.piSetHolder(t)
-		}
+		m.entered(mode, t)
 	}
 	return finishDeadline(t, e, waitErr)
 }

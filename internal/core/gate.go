@@ -65,9 +65,60 @@ var semGateStats = gateStats{
 	tkRel: TraceV,
 }
 
-// tryAcquire is the user-code fast path: a single test-and-set when
-// untraced. Traced, the transition is load → draw stamp → CAS, so the stamp
-// is certified against any concurrent transition on this gate (trace.go).
+// instr is the instrumentation word, which every Mutex and Semaphore
+// operation reads once: zero runs the paper's user code (lockFast,
+// unlockFast), and any set bit sends the operation to its outlined slow
+// path. SetChecking, EnableStats and Start/StopTracing flip their bits.
+// instrPI is sticky, like prioInUse, and is set before the mutex's own pi
+// flag, so a fast path that read zero is never a PI mutex's.
+var instr atomic.Uint32
+
+const (
+	instrTrace uint32 = 1 << iota // conformance tracing
+	instrCheck                    // holder checking
+	instrStats                    // contention counters
+	instrPI                       // some mutex has priority inheritance
+)
+
+// setInstr sets or clears bit alone and reports whether it was set. (A CAS
+// loop: atomic.Uint32.Or and And need a newer Go than go.mod names.)
+func setInstr(bit uint32, on bool) bool {
+	for {
+		old := instr.Load()
+		next := old &^ bit
+		if on {
+			next |= bit
+		}
+		if instr.CompareAndSwap(old, next) {
+			return old&bit != 0
+		}
+	}
+}
+
+// tracing reports whether conformance tracing is on.
+func tracing() bool { return instr.Load()&instrTrace != 0 }
+
+// lockFast is the user code of Acquire and P while the instrumentation
+// word is zero: one test-and-set. False sends the caller to its slow path.
+func (g *gate) lockFast() bool {
+	return instr.Load() == 0 && g.word.CompareAndSwap(0, gateLockedBit)
+}
+
+// unlockFast clears the lock bit if the instrumentation word is zero and no
+// thread is queued (the hand-off policy must see a waiter first); false
+// leaves the word alone for the caller's slow path. The caller then calls
+// releaseNub if the queue is no longer empty — outside, so this inlines.
+func (g *gate) unlockFast() bool {
+	if instr.Load() != 0 || g.qlen.Load() != 0 {
+		return false
+	}
+	g.word.Store(0)
+	return true
+}
+
+// tryAcquire is the slow paths' test-and-set: a single CAS when untraced.
+// Traced, the transition is load → draw stamp → CAS, so the stamp is
+// certified against any concurrent transition on this gate (trace.go).
 func (g *gate) tryAcquire(tc traceCtx) bool {
 	if tc.kind == TraceNone {
 		if g.word.CompareAndSwap(0, gateLockedBit) {
@@ -173,22 +224,14 @@ func (g *gate) release(st *gateStats, tc traceCtx) {
 	g.releaseCommon(st)
 }
 
-// releaseEmbed is release for Wait's mutex hand-off: the caller has already
-// emitted an Enqueue event (which subsumes the specification-level Release)
-// with the given stamp, and the stamp is embedded in the word so any later
-// Acquire of this mutex outranks the Enqueue. seq == 0 means untraced.
-// Only mutex holders call this, so the CAS cannot race another transition.
+// releaseEmbed is release for traced Wait's mutex hand-off: the caller has
+// already emitted an Enqueue event (which subsumes the specification-level
+// Release) with stamp seq, and the stamp is embedded in the word so any
+// later Acquire of this mutex outranks the Enqueue. Only the holder calls
+// this, and no other transition changes a held mutex's word, so a plain
+// store is the transition.
 func (g *gate) releaseEmbed(st *gateStats, seq uint64) {
-	if seq == 0 {
-		g.word.Store(0)
-	} else {
-		for {
-			w := g.word.Load()
-			if g.word.CompareAndSwap(w, seq<<1) {
-				break
-			}
-		}
-	}
+	g.word.Store(seq << 1)
 	g.releaseCommon(st)
 }
 
@@ -358,14 +401,14 @@ func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted 
 		// Both WHEN clauses of AlertP may be enabled at once (s
 		// available and SELF in alerts); the implementation is free to
 		// choose, and the fast path chooses to return normally.
-		statIncT(t, st.fast)
+		statInc(st.fast)
 		return false
 	}
 	if !t.alerted.Load() && g.spinAcquire(tc) {
-		statIncT(t, st.spin)
+		statInc(st.spin)
 		return false
 	}
-	statIncT(t, st.nubEnter)
+	statInc(st.nubEnter)
 	w := getWaiter(t)
 	w.capturePri(t)
 	w.parkStart = handoffNanos()
@@ -387,7 +430,7 @@ func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted 
 			g.q.Remove(&w.item)
 			g.qlen.Add(-1)
 			g.nub.Unlock()
-			statIncT(t, st.backout)
+			statInc(st.backout)
 			t.clearAlertWaiter()
 			if w.reason() == reasonAlert {
 				// Alert claimed us while we backed out; honor it. The
@@ -407,7 +450,7 @@ func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted 
 		}
 		g.piDonate(w)
 		g.nub.Unlock()
-		statIncT(t, st.park)
+		statInc(st.park)
 		reason := w.park()
 		t.clearAlertWaiter()
 		if reason == reasonAlert {

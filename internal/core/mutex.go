@@ -23,19 +23,12 @@ type Mutex struct {
 	holder atomic.Uint64
 }
 
-// checking gates the debug holder-tracking mode. It trades the paper's
-// 5-instruction fast path for detection of Release's REQUIRES violations —
-// the check the paper's users wished their debugger could do.
-var checking atomic.Bool
-
 // SetChecking enables or disables holder tracking on all mutexes and
 // returns the previous setting. With checking on, Release panics if the
 // calling thread does not hold the mutex, and Acquire panics on attempted
-// recursive acquisition (which would otherwise deadlock silently).
-func SetChecking(on bool) bool { return checking.Swap(on) }
-
-// Checking reports whether holder tracking is enabled.
-func Checking() bool { return checking.Load() }
+// recursive acquisition, which would otherwise deadlock silently — the
+// check the paper's users wished their debugger could do.
+func SetChecking(on bool) bool { return setInstr(instrCheck, on) }
 
 // Acquire blocks until the mutex is NIL and then makes the calling thread
 // its holder. The WHEN clause (m = NIL) may impose a delay until another
@@ -43,44 +36,37 @@ func Checking() bool { return checking.Load() }
 // Acquire, exactly one of them proceeds per Release, because the winner's
 // ENSURES falsifies the others' WHEN clauses.
 func (m *Mutex) Acquire() {
-	tc := traceAcquireCtx(TraceAcquire)
-	if checking.Load() {
-		self := Self()
-		if m.holder.Load() == self.id {
-			panic("threads: recursive Acquire would deadlock: " + self.name + " already holds the mutex")
-		}
-		m.g.acquire(self, &mutexGateStats, tc)
-		m.holder.Store(self.id)
-		if m.g.pi.Load() {
-			m.g.piSetHolder(self)
-		}
-		return
+	if !m.g.lockFast() {
+		m.acquireSlow()
 	}
-	if m.g.pi.Load() {
-		// PI needs the holder's identity for donation targeting, so a PI
-		// mutex pays the SELF recovery per acquisition (the same trade
-		// checking mode makes).
-		self := Self()
-		m.g.acquire(self, &mutexGateStats, tc)
-		m.g.piSetHolder(self)
-		return
+}
+
+// acquireSlow holds what the paper's user code leaves out: the recursion
+// check, the trace context and the holder bookkeeping.
+func (m *Mutex) acquireSlow() {
+	mode := instr.Load()
+	t := m.self(mode, true)
+	if mode&instrCheck != 0 && m.holder.Load() == t.id {
+		panic("threads: recursive Acquire would deadlock: " + t.name + " already holds the mutex")
 	}
-	m.g.acquire(nil, &mutexGateStats, tc)
+	m.g.acquire(t, &mutexGateStats, traceCtxFor(mode, TraceAcquire, t))
+	m.entered(mode, t)
 }
 
 // TryAcquire acquires the mutex if it is NIL and reports whether it did.
 // (An extension: the Firefly interface had no TryAcquire, but the fast path
 // makes it free and tests and examples use it.)
 func (m *Mutex) TryAcquire() bool {
-	if !m.g.tryAcquire(traceAcquireCtx(TraceAcquire)) {
+	return m.g.lockFast() || m.tryAcquireSlow()
+}
+
+func (m *Mutex) tryAcquireSlow() bool {
+	mode := instr.Load()
+	t := m.self(mode, true)
+	if !m.g.tryAcquire(traceCtxFor(mode, TraceAcquire, t)) {
 		return false
 	}
-	if checking.Load() {
-		m.holder.Store(Self().id)
-	}
-	if m.g.pi.Load() {
-		m.g.piSetHolder(Self())
-	}
+	m.entered(mode, t)
 	statInc(statAcquireFast)
 	return true
 }
@@ -90,16 +76,18 @@ func (m *Mutex) TryAcquire() bool {
 // with checking disabled a violation is not detected, matching the paper's
 // implementation, which keeps no holder.
 func (m *Mutex) Release() {
-	tc := traceAcquireCtx(TraceRelease)
-	if checking.Load() {
-		self := Self()
-		if h := m.holder.Load(); h != self.id {
-			panic("threads: Release REQUIRES m = SELF violated by " + self.name)
-		}
-		m.holder.Store(0)
+	if !m.g.unlockFast() {
+		m.releaseSlow()
+	} else if m.g.qlen.Load() != 0 {
+		m.g.releaseNub(&mutexGateStats)
 	}
-	m.piRelease()
-	m.g.release(&mutexGateStats, tc)
+}
+
+func (m *Mutex) releaseSlow() {
+	mode := instr.Load()
+	t := m.self(mode, false)
+	m.leaving(mode, t, "Release")
+	m.g.release(&mutexGateStats, traceCtxFor(mode, TraceRelease, t))
 }
 
 // SetPriorityInheritance enables or disables priority inheritance on this
@@ -107,10 +95,14 @@ func (m *Mutex) Release() {
 // donates its thread's effective priority to the holder for the duration
 // of the hold (gate.piDonate); the donation is removed at Release and the
 // boost/restore transitions carry conformance stamps. PI mutexes track
-// their holder, which costs a SELF recovery per acquisition — enable it on
-// the mutexes whose critical sections priority-sensitive threads contend
-// for, not globally. Flip only while the mutex is free.
+// their holder, which costs a SELF recovery per acquisition, and once any
+// mutex has PI every Mutex and Semaphore operation takes its slow path —
+// enable it where priority-sensitive threads contend, not globally. Flip
+// only while the mutex is free.
 func (m *Mutex) SetPriorityInheritance(on bool) bool {
+	if on {
+		setInstr(instrPI, true)
+	}
 	prev := m.g.pi.Swap(on)
 	if prev && !on {
 		m.g.piSetHolder(nil)
@@ -118,54 +110,51 @@ func (m *Mutex) SetPriorityInheritance(on bool) bool {
 	return prev
 }
 
-// PriorityInheritance reports whether priority inheritance is enabled.
-func (m *Mutex) PriorityInheritance() bool { return m.g.pi.Load() }
+func (m *Mutex) piOn(mode uint32) bool { return mode&instrPI != 0 && m.g.pi.Load() }
 
-// piRelease clears the PI holder record and drops the donation the hold
-// may have accumulated. Runs before the lock word transitions: the clear
-// is serialized under the gate's nub lock, so donors ordered after it see
-// no holder and skip, and the departing holder can never keep a boost for
-// a mutex it no longer holds.
-func (m *Mutex) piRelease() {
-	if !m.g.pi.Load() {
-		return
+// self returns the calling thread if mode makes the mutex track its holder
+// (checking, or acquiring a PI mutex), else nil: no needless SELF recovery.
+func (m *Mutex) self(mode uint32, acquiring bool) *Thread {
+	if mode&instrCheck != 0 || acquiring && m.piOn(mode) {
+		return Self()
 	}
-	if h := m.g.piClearHolder(); h != nil {
-		h.undonate(&m.g)
+	return nil
+}
+
+// entered is every acquisition path's holder bookkeeping, t from self.
+func (m *Mutex) entered(mode uint32, t *Thread) {
+	if mode&instrCheck != 0 {
+		m.holder.Store(t.id)
+	}
+	if m.piOn(mode) {
+		m.g.piSetHolder(t)
 	}
 }
 
-// releaseEnqueue is Wait's mutex hand-off: the caller already emitted an
-// Enqueue event with stamp seq (0 when untraced), which subsumes the
-// specification-level Release. Holder bookkeeping matches Release.
-func (m *Mutex) releaseEnqueue(seq uint64) {
-	if checking.Load() {
-		self := Self()
-		if h := m.holder.Load(); h != self.id {
-			panic("threads: Wait REQUIRES m = SELF violated by " + self.name)
+// leaving is every release path's holder bookkeeping, t from self, run
+// before the lock word transitions. The PI clear is serialized under the
+// nub lock: a donor ordered after it sees no holder, so no boost outlives
+// the hold.
+func (m *Mutex) leaving(mode uint32, t *Thread, op string) {
+	if mode&instrCheck != 0 {
+		if m.holder.Load() != t.id {
+			panic("threads: " + op + " REQUIRES m = SELF violated by " + t.name)
 		}
 		m.holder.Store(0)
 	}
-	m.piRelease()
-	m.g.releaseEmbed(&mutexGateStats, seq)
+	if m.piOn(mode) {
+		if h := m.g.piClearHolder(); h != nil {
+			h.undonate(&m.g)
+		}
+	}
 }
 
 // acquireResume is Wait's mutex reacquisition: like Acquire, but the trace
 // event (Resume or AlertResume.Return, carrying the condition in obj2) is
-// supplied by the caller, who passes the resuming thread (nil lets the
-// slow path recover it if priorities demand). A zero tc reacquires
-// silently.
+// supplied by the caller. A zero tc reacquires silently.
 func (m *Mutex) acquireResume(t *Thread, tc traceCtx) {
 	m.g.acquire(t, &mutexGateStats, tc)
-	if checking.Load() {
-		m.holder.Store(Self().id)
-	}
-	if m.g.pi.Load() {
-		if t == nil {
-			t = Self()
-		}
-		m.g.piSetHolder(t)
-	}
+	m.entered(instr.Load(), t)
 }
 
 // Held reports whether some thread holds the mutex. Advisory: the answer

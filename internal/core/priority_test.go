@@ -102,49 +102,61 @@ func TestConditionSignalPriorityOrder(t *testing.T) {
 
 // TestPriorityInheritanceBoostRestore is the PI contract on one mutex: a
 // blocked high-priority Acquire boosts the low-priority holder's effective
-// priority for the duration of the hold, and Release restores it.
+// priority for the duration of the hold, and Release restores it. It runs
+// with statistics off as well as on: on, every operation takes its slow
+// path, which would hide a fast path that skipped the PI bookkeeping.
 func TestPriorityInheritanceBoostRestore(t *testing.T) {
-	defer EnableStats(EnableStats(true))
-	base := SnapshotStats()
+	for _, row := range []struct {
+		name  string
+		stats bool
+	}{{"stats-off", false}, {"stats-on", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			defer EnableStats(EnableStats(row.stats))
+			base := SnapshotStats()
 
-	var m Mutex
-	m.SetPriorityInheritance(true)
-	defer m.SetPriorityInheritance(false)
+			var m Mutex
+			m.SetPriorityInheritance(true)
+			defer m.SetPriorityInheritance(false)
 
-	held := make(chan struct{})
-	releaseIt := make(chan struct{})
-	low := ForkPri(1, func() {
-		m.Acquire()
-		close(held)
-		<-releaseIt
-		m.Release()
-	})
-	<-held
-	high := ForkPri(5, func() {
-		m.Acquire()
-		m.Release()
-	})
-	// The boost lands when high's slow path parks; poll for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for low.EffectivePriority() != 5 {
-		if time.Now().After(deadline) {
-			t.Fatalf("holder effective priority = %d, want boosted to 5", low.EffectivePriority())
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	if got := low.Priority(); got != 1 {
-		t.Fatalf("holder base priority changed to %d, want 1", got)
-	}
-	close(releaseIt)
-	Join(low)
-	Join(high)
-	if got := low.EffectivePriority(); got != 1 {
-		t.Fatalf("after Release, holder effective priority = %d, want restored to 1", got)
-	}
-	s := SnapshotStats()
-	if s.PriBoost-base.PriBoost == 0 || s.PriRestore-base.PriRestore == 0 {
-		t.Fatalf("boost/restore counters did not move: boosts %d, restores %d",
-			s.PriBoost-base.PriBoost, s.PriRestore-base.PriRestore)
+			held := make(chan struct{})
+			releaseIt := make(chan struct{})
+			low := ForkPri(1, func() {
+				m.Acquire()
+				close(held)
+				<-releaseIt
+				m.Release()
+			})
+			<-held
+			high := ForkPri(5, func() {
+				m.Acquire()
+				m.Release()
+			})
+			// The boost lands when high's slow path parks; poll for it.
+			deadline := time.Now().Add(5 * time.Second)
+			for low.EffectivePriority() != 5 {
+				if time.Now().After(deadline) {
+					t.Fatalf("holder effective priority = %d, want boosted to 5", low.EffectivePriority())
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			if got := low.Priority(); got != 1 {
+				t.Fatalf("holder base priority changed to %d, want 1", got)
+			}
+			close(releaseIt)
+			Join(low)
+			Join(high)
+			if got := low.EffectivePriority(); got != 1 {
+				t.Fatalf("after Release, holder effective priority = %d, want restored to 1", got)
+			}
+			if !row.stats {
+				return
+			}
+			s := SnapshotStats()
+			if s.PriBoost-base.PriBoost == 0 || s.PriRestore-base.PriRestore == 0 {
+				t.Fatalf("boost/restore counters did not move: boosts %d, restores %d",
+					s.PriBoost-base.PriBoost, s.PriRestore-base.PriRestore)
+			}
+		})
 	}
 }
 

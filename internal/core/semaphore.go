@@ -30,13 +30,18 @@ type Semaphore struct {
 
 // P blocks until the semaphore is available and makes it unavailable.
 func (s *Semaphore) P() {
-	s.g.acquire(nil, &semGateStats, traceAcquireCtx(TraceP))
+	if !s.g.lockFast() {
+		s.g.acquire(nil, &semGateStats, traceCtxFor(instr.Load(), TraceP, nil))
+	}
 }
 
 // TryP makes the semaphore unavailable if it is available and reports
 // whether it did (extension, mirroring Mutex.TryAcquire).
 func (s *Semaphore) TryP() bool {
-	if !s.g.tryAcquire(traceAcquireCtx(TraceP)) {
+	if s.g.lockFast() {
+		return true
+	}
+	if !s.g.tryAcquire(traceCtxFor(instr.Load(), TraceP, nil)) {
 		return false
 	}
 	statInc(statPFast)
@@ -47,7 +52,11 @@ func (s *Semaphore) TryP() bool {
 // one of them ready. V never blocks and may be called from any context,
 // including the simulated interrupt routines in the examples.
 func (s *Semaphore) V() {
-	s.g.release(&semGateStats, traceAcquireCtx(TraceV))
+	if !s.g.unlockFast() {
+		s.g.release(&semGateStats, traceCtxFor(instr.Load(), TraceV, nil))
+	} else if s.g.qlen.Load() != 0 {
+		s.g.releaseNub(&semGateStats)
+	}
 }
 
 // AlertP is P, except that it may return Alerted instead of acquiring.
@@ -70,10 +79,7 @@ func (s *Semaphore) AlertP() error { return s.alertP(Self()) }
 // alertP is AlertP with SELF already recovered, so AlertPDeadline pays the
 // identity lookup once per operation rather than once per layer.
 func (s *Semaphore) alertP(t *Thread) error {
-	var tc traceCtx
-	if traceOn.Load() {
-		tc = traceCtx{kind: TraceAlertPReturn, tid: t.id}
-	}
+	tc := traceCtxFor(instr.Load(), TraceAlertPReturn, t)
 	if s.g.alertableAcquire(t, &semGateStats, tc) {
 		// The alerts-set deletion is the linearization point of the RAISES
 		// case; consume the flag and stamp it under t's alertLock, which
@@ -83,7 +89,7 @@ func (s *Semaphore) alertP(t *Thread) error {
 			obj = traceObjID(&s.g.traceID)
 		}
 		t.consumeAlertEmit(TraceAlertPRaise, obj, 0)
-		statIncT(t, statAlertedP)
+		statInc(statAlertedP)
 		return Alerted
 	}
 	return nil

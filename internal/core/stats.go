@@ -135,16 +135,10 @@ func init() {
 	statShardMask = uintptr(n - 1)
 }
 
-// statsEnabled gates all counter updates; when false the counters cost one
-// predictable branch on the fast paths.
-var statsEnabled atomic.Bool
-
 // EnableStats turns contention statistics on or off and returns the
-// previous setting.
-func EnableStats(on bool) bool { return statsEnabled.Swap(on) }
-
-// StatsEnabled reports whether statistics are being collected.
-func StatsEnabled() bool { return statsEnabled.Load() }
+// previous setting. On, every Mutex and Semaphore operation takes its slow
+// path, which counts; off, counting costs nothing past the word's test.
+func EnableStats(on bool) bool { return setInstr(instrStats, on) }
 
 // statShardIdx hashes the calling thread's identity to a shard index. The
 // hot paths deliberately never compute SELF (recovering the goroutine id
@@ -160,20 +154,12 @@ func statShardIdx() uintptr {
 }
 
 func statAdd(id statID, n uint64) {
-	if statsEnabled.Load() {
+	if instr.Load()&instrStats != 0 {
 		statShards[statShardIdx()].c[id].Add(n)
 	}
 }
 
 func statInc(id statID) { statAdd(id, 1) }
-
-// statIncT is statInc for call sites that already hold a Thread: the shard
-// index hashes the thread id instead of re-deriving an identity.
-func statIncT(t *Thread, id statID) {
-	if statsEnabled.Load() {
-		statShards[uintptr(t.id*0x9e3779b9)&statShardMask].c[id].Add(1)
-	}
-}
 
 // SnapshotStats returns the current counter values, aggregated over all
 // shards.

@@ -181,8 +181,8 @@ func (t *Thread) recalcPriLocked() {
 		kind = TracePriBoost
 		stat = statPriBoost
 	}
-	statIncT(t, stat)
-	if traceOn.Load() {
+	statInc(stat)
+	if tracing() {
 		// The stamp is drawn and recorded under donLock: per-thread
 		// priority transitions are totally ordered, which is exactly the
 		// REQUIRES the spec face checks (a boost strictly raises, a
@@ -360,7 +360,7 @@ func forkNamedPri(name string, pri int, fn func()) *Thread {
 		prioInUse.Store(true)
 		t.basePri.Store(int32(pri))
 		t.effPri.Store(int32(pri))
-		if traceOn.Load() {
+		if tracing() {
 			// The thread is not yet visible to donors, so this initial
 			// transition is trivially ordered before any later one.
 			kind := TracePriBoost

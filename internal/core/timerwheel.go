@@ -131,7 +131,7 @@ func (t *Thread) armDeadline(deadline time.Time) *timerEntry {
 	}
 	e.when = deadline.UnixNano()
 	e.state.Store(timerArmed)
-	statIncT(t, statTimerArm)
+	statInc(statTimerArm)
 	wheel.arm(e)
 	return e
 }
@@ -208,7 +208,7 @@ func (tw *timerWheel) run() {
 			e.next = nil
 			if e.state.CompareAndSwap(timerArmed, timerFiring) {
 				Alert(e.t)
-				statIncT(e.t, statTimerFire)
+				statInc(statTimerFire)
 				// The final runner access: after this store the owner's
 				// cancelAndDrain may reuse the entry.
 				e.state.Store(timerFired)
@@ -259,7 +259,7 @@ func (e *timerEntry) cancelAndDrain() (fired bool) {
 		b.lock.Lock()
 		b.unlink(e)
 		b.lock.Unlock()
-		statIncT(e.t, statTimerCancel)
+		statInc(statTimerCancel)
 		return false
 	}
 	// The runner won the race: it is between its CAS to timerFiring and

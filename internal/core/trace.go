@@ -11,9 +11,9 @@ import (
 // buffers; internal/trace merges the shards by stamp and replays the result
 // through the specification's state machine.
 //
-// Cost model: disabled, tracing is one predictable branch per operation (the
-// same discipline as the contention counters). Enabled, every record is a
-// plain struct store into a preallocated ring — no allocation per event.
+// Cost model: disabled, tracing is one bit of the instrumentation word that
+// every operation reads anyway (gate.go). Enabled, every record is a plain
+// struct store into a preallocated ring — no allocation per event.
 //
 // # The stamping scheme (the fast-path ordering hazard)
 //
@@ -110,9 +110,6 @@ type traceCtx struct {
 }
 
 var (
-	// traceOn is the package-level enable flag; every operation's first
-	// tracing decision is one load of it.
-	traceOn atomic.Bool
 	// traceSeq is the global stamp counter. Stamps fit in 63 bits so they
 	// can share the gate word with the lock bit.
 	traceSeq atomic.Uint64
@@ -136,9 +133,6 @@ type traceShard struct {
 	_   [cacheLineSize - 8 - 24]byte
 }
 
-// TracingEnabled reports whether conformance tracing is recording.
-func TracingEnabled() bool { return traceOn.Load() }
-
 // StartTracing allocates the sharded rings (one per statistics shard, each
 // holding perShardCap records rounded up to a power of two) and enables
 // recording. It must be called while the primitives are quiesced. Any
@@ -156,12 +150,12 @@ func StartTracing(perShardCap int) {
 		traceShards[i].buf = make([]TraceRecord, n)
 	}
 	traceRingMask = uint64(n - 1)
-	traceOn.Store(true)
+	setInstr(instrTrace, true)
 }
 
 // StopTracing disables recording. Records already written remain available
 // to CollectTrace. Must be called while the primitives are quiesced.
-func StopTracing() { traceOn.Store(false) }
+func StopTracing() { setInstr(instrTrace, false) }
 
 // CollectTrace drains the shards: it returns one slice per shard in write
 // order, plus the count of records lost to ring wrap-around (a conformance
@@ -215,13 +209,15 @@ func traceObjID(id *atomic.Uint64) uint64 {
 	return v
 }
 
-// traceAcquireCtx builds the traceCtx for a gate acquisition path: kind and
-// the calling thread, resolved only when tracing is on (Self costs a
-// registry lookup, and on an adopted goroutine a runtime.Stack header
-// parse, which the untraced fast paths never pay).
-func traceAcquireCtx(kind TraceKind) traceCtx {
-	if !traceOn.Load() {
+// traceCtxFor builds the traceCtx of a kind event under instrumentation
+// mode: zero unless tracing, else carrying t's id, or SELF's if t is nil
+// (Self, which untraced paths never pay, can cost a runtime.Stack parse).
+func traceCtxFor(mode uint32, kind TraceKind, t *Thread) traceCtx {
+	if mode&instrTrace == 0 {
 		return traceCtx{}
 	}
-	return traceCtx{kind: kind, tid: Self().id}
+	if t == nil {
+		t = Self()
+	}
+	return traceCtx{kind: kind, tid: t.id}
 }

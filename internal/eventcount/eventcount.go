@@ -1,5 +1,5 @@
-// Package eventcount implements eventcounts and sequencers in the style of
-// Reed & Kanodia (SOSP 1977), the substrate the paper's condition-variable
+// Package eventcount implements eventcounts in the style of Reed & Kanodia
+// (SOSP 1977), the substrate the paper's condition-variable
 // implementation is built on.
 //
 // An eventcount is "an atomically-readable, monotonically-increasing
@@ -10,10 +10,9 @@
 // the wakeup-waiting race for any number of racing waiters — the property
 // a single semaphore bit cannot provide for Broadcast.
 //
-// This package provides the raw counters; internal/core and
+// This package provides the raw counter; internal/core and
 // internal/simthreads supply the queues, spin locks and scheduling around
-// them. A Sequencer is included for completeness of the Reed-Kanodia pair:
-// together with Await it supports ticket-style total ordering of events.
+// it.
 package eventcount
 
 import "sync/atomic"
@@ -36,17 +35,3 @@ func (c *Count) Advance() uint64 { return c.n.Add(1) }
 // the caller read earlier. This is exactly the test the Nub's Block
 // subroutine performs before descheduling the calling thread.
 func (c *Count) AdvancedSince(v uint64) bool { return c.n.Load() != v }
-
-// Sequencer issues strictly increasing tickets, starting at 1. Paired with
-// an eventcount it totally orders concurrent events (Reed & Kanodia's
-// Ticket/Await discipline).
-type Sequencer struct {
-	n atomic.Uint64
-}
-
-// Ticket returns the next ticket. Distinct calls, even concurrent ones,
-// receive distinct, strictly increasing values.
-func (s *Sequencer) Ticket() uint64 { return s.n.Add(1) }
-
-// Current returns the most recently issued ticket (0 if none).
-func (s *Sequencer) Current() uint64 { return s.n.Load() }

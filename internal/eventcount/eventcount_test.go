@@ -76,39 +76,6 @@ func TestConcurrentAdvance(t *testing.T) {
 	}
 }
 
-func TestSequencerDistinctTickets(t *testing.T) {
-	const (
-		goroutines = 8
-		iters      = 5000
-	)
-	var s Sequencer
-	tickets := make([][]uint64, goroutines)
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		g := g
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				tickets[g] = append(tickets[g], s.Ticket())
-			}
-		}()
-	}
-	wg.Wait()
-	seen := make(map[uint64]bool, goroutines*iters)
-	for g := range tickets {
-		for _, v := range tickets[g] {
-			if seen[v] {
-				t.Fatalf("duplicate ticket %d", v)
-			}
-			seen[v] = true
-		}
-	}
-	if s.Current() != goroutines*iters {
-		t.Fatalf("Current = %d, want %d", s.Current(), goroutines*iters)
-	}
-}
-
 // TestQuickMonotonic property-tests that any interleaving of Reads and
 // Advances yields non-decreasing reads.
 func TestQuickMonotonic(t *testing.T) {

@@ -1,3 +1,10 @@
+// Package queue provides the intrusive priority queue behind the Nub's
+// queues of blocked threads (per mutex, per condition variable, per
+// semaphore): items are ordered by priority, FIFO within a band.
+//
+// The queue is intrusive — callers embed a PItem in their waiter records —
+// so enqueueing a blocking thread allocates nothing, which matters because
+// every blocked Acquire/Wait/P passes through here.
 package queue
 
 // Priority is a scheduling priority. Larger values are more urgent. The
@@ -166,7 +173,7 @@ func (pq *PriorityQueue[T]) down(i int) {
 }
 
 // Drain calls fn on each item in (priority desc, FIFO) order while
-// removing it, mirroring FIFO.Drain. fn may push the item onto another
+// removing it. fn may push the item onto another
 // queue (wait morphing moves drained condition waiters onto a mutex gate
 // queue); it must not touch this queue.
 func (pq *PriorityQueue[T]) Drain(fn func(*PItem[T])) {

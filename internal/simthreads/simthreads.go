@@ -200,9 +200,6 @@ func (w *World) state(t *sim.T) *tstate {
 	return st
 }
 
-// SpecID returns the spec-level thread id used in emitted actions.
-func (w *World) SpecID(t *sim.T) spec.ThreadID { return w.state(t).id }
-
 // nubLock busy-waits on the global spin-lock bit and disables preemption
 // for the critical section, mirroring kernel-mode execution. Under
 // WorldOptions.NubAwait the busy-wait is replaced by a blocking await with

@@ -78,9 +78,6 @@ func New() *Checker {
 	}
 }
 
-// Applied returns the number of events accepted so far.
-func (c *Checker) Applied() int { return c.applied }
-
 func (c *Checker) cond(id spec.CondID) *condState {
 	cs, ok := c.conds[id]
 	if !ok {

@@ -37,16 +37,6 @@ func (r SimContentionResult) FastPathRate() float64 {
 	return float64(r.Stats.AcquireFast) / float64(total)
 }
 
-// PairMicros returns the mean cost in microseconds of one
-// Acquire-CS-Release-think cycle across the run.
-func (r SimContentionResult) PairMicros(cfg SimContentionConfig) float64 {
-	ops := cfg.Threads * cfg.Iters
-	if ops == 0 {
-		return 0
-	}
-	return r.Micros / float64(ops)
-}
-
 // SimMutexContention runs the contention workload on the simulator and
 // returns instruction-level statistics.
 func SimMutexContention(cfg SimContentionConfig) (SimContentionResult, error) {
