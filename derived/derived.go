@@ -10,7 +10,9 @@
 // Every object follows the paper's usage discipline: shared state guarded
 // by a Mutex, condition variables paired with predicates, Wait in a loop
 // (return is a hint), Signal when one waiter can benefit, Broadcast when
-// several might.
+// several might. The one exception is the readers-writer lock's reader
+// count, an atomic word that keeps uncontended reads in user code, as the
+// paper's own Mutex does.
 package derived
 
 import "threads"

@@ -284,19 +284,33 @@ func TestPoolConcurrentChurn(t *testing.T) {
 func TestRWLockExclusionAndSharing(t *testing.T) {
 	l := NewRWLock()
 	var data, torn int64
-	const readers, writers, ops = 6, 2, 1500
+	const readers, tryReaders, writers, ops = 6, 2, 2, 1500
 	var wg sync.WaitGroup
-	wg.Add(readers + writers)
+	wg.Add(readers + tryReaders + writers)
 	var shadow [2]int64
+	read := func() {
+		if shadow[0] != shadow[1] {
+			atomic.AddInt64(&torn, 1)
+		}
+	}
 	for i := 0; i < readers; i++ {
 		threads.Fork(func() {
 			defer wg.Done()
 			for j := 0; j < ops; j++ {
 				l.RLock()
-				if shadow[0] != shadow[1] {
-					atomic.AddInt64(&torn, 1)
-				}
+				read()
 				l.RUnlock()
+			}
+		})
+	}
+	for i := 0; i < tryReaders; i++ {
+		threads.Fork(func() {
+			defer wg.Done()
+			for j := 0; j < ops; j++ {
+				if l.TryRLock() {
+					read()
+					l.RUnlock()
+				}
 			}
 		})
 	}
@@ -321,8 +335,59 @@ func TestRWLockExclusionAndSharing(t *testing.T) {
 	if data != writers*ops {
 		t.Fatalf("data = %d, want %d", data, writers*ops)
 	}
+	if n := l.Readers(); n != 0 {
+		t.Fatalf("Readers() = %d after all readers left, want 0", n)
+	}
 }
 
+// TestRWLockWriterPreference: once a writer waits for a reader to leave,
+// new readers queue behind it — TryRLock fails and RLock blocks until the
+// writer has unlocked.
+func TestRWLockWriterPreference(t *testing.T) {
+	l := NewRWLock()
+	l.RLock()
+	var unlocked atomic.Bool
+	writerDone := make(chan struct{})
+	threads.Fork(func() {
+		defer close(writerDone)
+		l.Lock()
+		unlocked.Store(true) // before Unlock, so readers admitted after it see it
+		l.Unlock()
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for l.TryRLock() {
+		l.RUnlock()
+		if time.Now().After(deadline) {
+			t.Fatal("writer never counted itself in")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	readerDone := make(chan struct{})
+	threads.Fork(func() {
+		defer close(readerDone)
+		l.RLock()
+		if !unlocked.Load() {
+			t.Error("RLock returned while a writer was pending")
+		}
+		l.RUnlock()
+	})
+	// The writer and the new reader both park on changed.
+	for l.changed.Waiters() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("new reader never blocked behind the pending writer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if l.TryRLock() {
+		t.Fatal("TryRLock succeeded while a writer was pending")
+	}
+	l.RUnlock()
+	waitDone(t, writerDone, "writer")
+	waitDone(t, readerDone, "reader behind the writer")
+}
+
+// TestRWLockMisusePanics: both misuses panic, and the RUnlock panic leaves
+// the reader count intact, so the lock stays usable by readers and writers.
 func TestRWLockMisusePanics(t *testing.T) {
 	l := NewRWLock()
 	func() {
@@ -333,6 +398,18 @@ func TestRWLockMisusePanics(t *testing.T) {
 		}()
 		l.RUnlock()
 	}()
+	if n := l.Readers(); n != 0 {
+		t.Fatalf("Readers() = %d after the RUnlock panic, want 0", n)
+	}
+	done := make(chan struct{})
+	threads.Fork(func() {
+		defer close(done)
+		l.RLock()
+		l.RUnlock()
+		l.Lock()
+		l.Unlock()
+	})
+	waitDone(t, done, "RLock and Lock after the RUnlock panic")
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -93,7 +93,7 @@ func Primitives() []*Primitive {
 		{
 			Name:           "rwlock",
 			Layer:          "derived",
-			SpecFace:       "derived from Mutex+Condition: reader count and writer flag guarded by one mutex; traces replay through the spec state machine",
+			SpecFace:       "derived from Mutex+Condition: readers enter and leave with one atomic add on a word that also counts writers, and only a counted writer sends them through the mutex and condition; traces replay through the spec state machine",
 			Litmuses:       []string{"rwlock"},
 			VetObligations: []string{"waitloop", "condmutex"},
 		},

@@ -98,7 +98,7 @@ func Registry() []*Litmus {
 		},
 		{
 			Name: "rwlock",
-			Desc: "readers-writer lock derived from mutex+condition: 2 readers, 1 writer",
+			Desc: "readers-writer lock: atomic reader fast path, mutex+condition only when a writer is counted; 2 readers, 1 writer",
 			Sim:  simRWLock(2),
 		},
 		{
@@ -587,43 +587,59 @@ func simPhaser(parties, phases int) SimProgram {
 	}
 }
 
-// simRWLock derives a readers-writer lock from one mutex and one condition
-// — the registry's demonstration that new primitives built on the paper's
+// simRWLock mirrors derived.RWLock step for step: one state word holds the
+// reader count in its low 32 bits and the writers (pending or active) above
+// them, so a reader with no writer counted enters and leaves with one Add
+// each, and the mutex and condition carry only the conflicts. The two
+// misuse checks are left out, as no thread here misuses the lock. It is also
+// the registry's demonstration that new primitives built on the paper's
 // interface get schedule-explored by adding a table entry.
 func simRWLock(readers int) SimProgram {
+	const readerMask, writerUnit = 1<<32 - 1, 1 << 32
 	return SimProgram{
 		Procs: readers + 1,
 		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
 			m := w.NewMutex()
-			cv := w.NewCondition()
-			var nreaders, writing sim.Word // guarded state
-			var inR, inW, bad sim.Word     // detectors
+			changed := w.NewCondition()
+			var state, writing sim.Word // writing is guarded by m
+			var inR, inW, bad sim.Word  // detectors
+			lastReader := func(s uint64) bool { return s&readerMask == 0 && s >= writerUnit }
+			wakeWriters := func(e *sim.Env) {
+				m.Acquire(e)
+				m.Release(e)
+				changed.Broadcast(e)
+			}
 			for i := 0; i < readers; i++ {
 				k.Spawn(fmt.Sprintf("r%d", i+1), func(e *sim.Env) {
-					m.Acquire(e)
-					for e.Load(&writing) != 0 {
-						cv.Wait(e, m)
+					// RLock: fast path, else back out and wait under m.
+					if e.Add(&state, 1) >= writerUnit {
+						if lastReader(e.Add(&state, ^uint64(0))) {
+							wakeWriters(e)
+						}
+						m.Acquire(e)
+						for e.Load(&state) >= writerUnit {
+							changed.Wait(e, m)
+						}
+						e.Add(&state, 1)
+						m.Release(e)
 					}
-					e.Add(&nreaders, 1)
-					m.Release(e)
 					// Read region: no writer may be inside.
 					e.Add(&inR, 1)
 					if e.Load(&inW) != 0 {
 						e.Store(&bad, 1)
 					}
 					e.Add(&inR, ^uint64(0))
-					m.Acquire(e)
-					last := e.Add(&nreaders, ^uint64(0)) == 0
-					m.Release(e)
-					if last {
-						cv.Broadcast(e)
+					// RUnlock.
+					if lastReader(e.Add(&state, ^uint64(0))) {
+						wakeWriters(e)
 					}
 				})
 			}
 			k.Spawn("writer", func(e *sim.Env) {
 				m.Acquire(e)
-				for e.Load(&nreaders) != 0 || e.Load(&writing) != 0 {
-					cv.Wait(e, m)
+				e.Add(&state, writerUnit)
+				for e.Load(&writing) != 0 || e.Load(&state)&readerMask != 0 {
+					changed.Wait(e, m)
 				}
 				e.Store(&writing, 1)
 				m.Release(e)
@@ -633,14 +649,19 @@ func simRWLock(readers int) SimProgram {
 					e.Store(&bad, 1)
 				}
 				e.Store(&inW, 0)
+				// Unlock.
 				m.Acquire(e)
 				e.Store(&writing, 0)
+				e.Add(&state, ^uint64(writerUnit-1))
 				m.Release(e)
-				cv.Broadcast(e)
+				changed.Broadcast(e)
 			})
 			return func() error {
 				if bad.Peek() != 0 {
 					return fmt.Errorf("reader and writer overlapped")
+				}
+				if s := state.Peek(); s != 0 {
+					return fmt.Errorf("state word %#x at quiescence, want 0", s)
 				}
 				return nil
 			}

@@ -160,19 +160,25 @@ func TestStressBroadcastStorm(t *testing.T) {
 		const pop = 5
 		var wg sync.WaitGroup
 		wg.Add(pop)
+		target := g + 1
 		for i := 0; i < pop; i++ {
 			Fork(func() {
 				defer wg.Done()
 				m.Acquire()
-				target := gen + 1
 				for gen < target {
 					c.Wait(&m)
 				}
 				m.Release()
 			})
 		}
-		// Give the population a moment to block, then advance.
-		time.Sleep(time.Millisecond)
+		// Let the whole population park, then advance.
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Waiters() < pop {
+			if time.Now().After(deadline) {
+				t.Fatalf("generation %d: %d of %d waiters parked", g, c.Waiters(), pop)
+			}
+			time.Sleep(time.Millisecond)
+		}
 		m.Acquire()
 		gen++
 		m.Release()
