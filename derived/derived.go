@@ -91,11 +91,7 @@ func (s *CountingSemaphore) Permits() int {
 // for correctness. Barriers are cyclic: the next n arrivals form the next
 // generation.
 type Barrier struct {
-	mu      threads.Mutex
-	tripped threads.Condition
-	n       int
-	arrived int //threads:guardedby mu
-	gen     uint64
+	p Phaser
 }
 
 // NewBarrier returns a barrier for parties of n (n ≥ 1).
@@ -103,29 +99,13 @@ func NewBarrier(n int) *Barrier {
 	if n < 1 {
 		panic("derived: barrier size must be at least 1")
 	}
-	return &Barrier{n: n}
+	return &Barrier{p: Phaser{parties: n}}
 }
 
 // Await blocks until n threads (including the caller) have called Await in
 // this generation. It returns true for exactly one caller per generation
 // (the one that tripped the barrier), which may do per-generation work.
-func (b *Barrier) Await() (tripped bool) {
-	b.mu.Acquire()
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.mu.Release()
-		b.tripped.Broadcast()
-		return true
-	}
-	for gen == b.gen {
-		b.tripped.Wait(&b.mu)
-	}
-	b.mu.Release()
-	return false
-}
+func (b *Barrier) Await() (tripped bool) { return b.p.ArriveAndAwait() }
 
 // Latch is a one-shot gate: threads Wait until Open is called; once open it
 // never closes. (The paper's "writer lock released frees all readers"

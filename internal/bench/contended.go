@@ -40,34 +40,6 @@ func RunLadder(n, total int) {
 	wg.Wait()
 }
 
-// RunCSemLadder performs total P/V pairs on one counting semaphore built
-// with the given shard count, split across n goroutines holding n tokens
-// (E16b). With a token always available nobody parks, so the measurement
-// isolates the counter traffic itself — the cache-line behavior the
-// sharding exists to fix.
-func RunCSemLadder(n, shards, total int) {
-	c := core.NewCountingSemaphoreShards(n, shards)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		per := total / n
-		if i < total%n {
-			per++
-		}
-		go func(per int) {
-			defer wg.Done()
-			<-start
-			for j := 0; j < per; j++ {
-				c.P()
-				c.V()
-			}
-		}(per)
-	}
-	close(start)
-	wg.Wait()
-}
-
 // RunSignalStorm drives rounds generations of a Signal/Broadcast storm at
 // a population of waiters (E12). Every round advances a monitored
 // generation counter and fires one Broadcast plus one Signal — the

@@ -3,8 +3,8 @@
 // plus the curve comparator that fails when the *shape* of a curve
 // regresses — a knee appearing at a lower core count — even when every
 // individual point is still within scalar tolerance. Experiment E16 uses
-// the same machinery to measure the scalability fixes (sharded semaphore
-// counters, direct hand-off) before and after.
+// the same machinery to measure direct hand-off, the scalability fix,
+// before and after.
 package bench
 
 import (
@@ -301,8 +301,7 @@ func compareNormalized(b, c Curve, pts []Point, tol float64) []Regression {
 
 // E16 sweeps the contended workloads across core counts with direct
 // hand-off off (the paper-faithful configuration every earlier experiment
-// measured) and adaptive, and reports the sharded-counter scaling of the
-// counting semaphore separately.
+// measured) and adaptive.
 func E16(o Options) []*Table {
 	t := &Table{
 		ID:    "E16",
@@ -359,34 +358,5 @@ oversubscribe the host: they expose convoy behavior, not parallel speedup.`,
 			}
 		}
 	}
-	core.SetHandoffMode(prevH)
-
-	shards := &Table{
-		ID:    "E16b",
-		Title: "sharded semaphore counters: uncontended-token P/V ladder",
-		Note: `8 goroutines P/V a counting semaphore holding 8 tokens — nobody blocks, so
-the measurement is pure counter traffic: one shard is a single contended
-cache line, per-core shards spread it. ns/op, best of 2 samples.`,
-		Headers: []string{"shards", "cores", "ns/op", "vs 1 shard"},
-	}
-	ladderTotal := o.pick(100_000, 500_000)
-	kMax := cores[len(cores)-1]
-	shardCores := []int{1, kMax}
-	if kMax == 1 {
-		shardCores = []int{1}
-	}
-	base := map[int]float64{}
-	for _, nshards := range []int{1, 4, 16} {
-		run := func(n int) { RunCSemLadder(8, nshards, n) }
-		curves := collectSweep([]sweepWorkload{{
-			id: "csem", run: run, quickN: ladderTotal, fullN: ladderTotal,
-		}}, shardCores, samples, o.Quick)
-		for _, p := range curves[0].Points {
-			if nshards == 1 {
-				base[p.Cores] = p.Value
-			}
-			shards.Add(nshards, p.Cores, F(p.Value, 1), F(p.Value/base[p.Cores], 2))
-		}
-	}
-	return []*Table{t, shards}
+	return []*Table{t}
 }

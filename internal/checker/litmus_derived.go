@@ -253,3 +253,122 @@ func simLatch(waiters int) SimProgram {
 		},
 	}
 }
+
+// simCSem mirrors derived.CountingSemaphore step for step: one permit word
+// guarded by one mutex, Acquire waiting on one condition while the word is
+// zero, and Release adding under the mutex and Signalling after releasing
+// it. Each thread takes a permit, holds it across a step and gives it back.
+// The detectors are the abstract ones: never more than permits holders at
+// once, and the word back at permits at quiescence; a lost wakeup leaves a
+// thread waiting forever, which the explorer reports as a deadlock.
+// AlertAcquire is left out, as no thread here is alerted.
+func simCSem(permits, threads int) SimProgram {
+	return SimProgram{
+		Procs: threads,
+		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
+			m := w.NewMutex()
+			nonZero := w.NewCondition()
+			var free sim.Word // the permit count, guarded by m
+			free.Poke(uint64(permits))
+			var held, overlap sim.Word // detectors
+			for i := 0; i < threads; i++ {
+				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+					// Acquire.
+					m.Acquire(e)
+					for e.Load(&free) == 0 {
+						nonZero.Wait(e, m)
+					}
+					e.Add(&free, ^uint64(0))
+					m.Release(e)
+					if e.Add(&held, 1) > uint64(permits) {
+						e.Store(&overlap, 1)
+					}
+					e.Work(1)
+					e.Add(&held, ^uint64(0))
+					// Release.
+					m.Acquire(e)
+					e.Add(&free, 1)
+					m.Release(e)
+					nonZero.Signal(e)
+				})
+			}
+			return func() error {
+				if overlap.Peek() != 0 {
+					return fmt.Errorf("more than %d threads hold a permit", permits)
+				}
+				if f := free.Peek(); f != uint64(permits) {
+					return fmt.Errorf("%d permits free at quiescence, want %d (permit granted twice or lost)", f, permits)
+				}
+				return nil
+			}
+		},
+	}
+}
+
+// simPool mirrors derived.Pool's Get and Put step for step: a stack of free
+// items and its length, guarded by one mutex; Get waits on one condition
+// while the stack is empty and then pops, and Put pushes and Signals after
+// releasing the mutex. Each thread gets an item, holds it across a step and
+// puts it back. The detectors: no item is held by two threads at once, and
+// at quiescence every item is back on the stack exactly once; a lost
+// wakeup leaves a thread waiting forever, which the explorer reports as a
+// deadlock.
+func simPool(items, threads int) SimProgram {
+	return SimProgram{
+		Procs: threads,
+		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
+			m := w.NewMutex()
+			freed := w.NewCondition()
+			stack := make([]sim.Word, items) // item IDs 1..items, guarded by m
+			var n sim.Word                   // the stack's length, guarded by m
+			for i := range stack {
+				stack[i].Poke(uint64(i + 1))
+			}
+			n.Poke(uint64(items))
+			holders := make([]sim.Word, items+1) // detectors, by item ID
+			var shared sim.Word
+			for i := 0; i < threads; i++ {
+				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+					// Get.
+					m.Acquire(e)
+					for e.Load(&n) == 0 {
+						freed.Wait(e, m)
+					}
+					top := e.Load(&n) - 1
+					item := e.Load(&stack[top])
+					e.Store(&n, top)
+					m.Release(e)
+					if e.Add(&holders[item], 1) != 1 {
+						e.Store(&shared, 1)
+					}
+					e.Work(1)
+					e.Add(&holders[item], ^uint64(0))
+					// Put.
+					m.Acquire(e)
+					top = e.Load(&n)
+					e.Store(&stack[top], item)
+					e.Store(&n, top+1)
+					m.Release(e)
+					freed.Signal(e)
+				})
+			}
+			return func() error {
+				if shared.Peek() != 0 {
+					return fmt.Errorf("an item was held by two threads at once")
+				}
+				if got := n.Peek(); got != uint64(items) {
+					return fmt.Errorf("%d items on the stack at quiescence, want %d", got, items)
+				}
+				onStack := make([]bool, items+1)
+				for i := range stack {
+					id := stack[i].Peek()
+					if id == 0 || id > uint64(items) || onStack[id] {
+						return fmt.Errorf("stack slot %d holds item %d at quiescence: an item is missing or on the stack twice", i, id)
+					}
+					onStack[id] = true
+				}
+				return nil
+			}
+		},
+	}
+}

@@ -86,8 +86,15 @@ func Primitives() []*Primitive {
 		{
 			Name:           "counting-semaphore",
 			Layer:          "derived",
-			SpecFace:       "derived from Mutex+Condition: sharded token cells with optimistic P and repair; traces replay through the spec state machine",
+			SpecFace:       "derived from Mutex+Condition: one permit count guarded by the mutex, Acquire waits on one condition while it is zero, Release Signals; traces replay through the spec state machine",
 			Litmuses:       []string{"csem"},
+			VetObligations: []string{"waitloop"},
+		},
+		{
+			Name:           "pool",
+			Layer:          "derived",
+			SpecFace:       "derived from Mutex+Condition: a stack of free items guarded by the mutex, Get waits on one condition while it is empty, Put Signals (the paper's one-waiter-can-benefit example); traces replay through the spec state machine",
+			Litmuses:       []string{"pool"},
 			VetObligations: []string{"waitloop"},
 		},
 		{

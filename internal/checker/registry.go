@@ -119,8 +119,8 @@ func Registry() []*Litmus {
 		},
 		{
 			Name: "csem",
-			Desc: "sharded counting semaphore: per-cell optimistic P with repair, mutex+condition fallback",
-			Sim:  simCSem(1, 3, 2),
+			Desc: "counting semaphore from mutex+condition: 3 threads share 1 permit, Acquire waits while none is free, Release Signals after the mutex",
+			Sim:  simCSem(1, 3),
 		},
 		{
 			Name: "peterson",
@@ -162,6 +162,11 @@ func Registry() []*Litmus {
 			Name: "latch",
 			Desc: "one-shot latch: 2 waiters must not pass before the opener's Broadcast",
 			Sim:  simLatch(2),
+		},
+		{
+			Name: "pool",
+			Desc: "buffer pool, 1 item: 3 threads Get it and Put it back; Get waits while the stack is empty, Put Signals after the mutex",
+			Sim:  simPool(1, 3),
 		},
 		{
 			// Like the hand-off litmuses, priority scheduling is an
@@ -375,93 +380,6 @@ func simAlert(buggy bool) SimProgram {
 				}
 				if sawAlert.Peek() == 0 {
 					return fmt.Errorf("the alert was never delivered")
-				}
-				return nil
-			}
-		},
-	}
-}
-
-// simCSem models internal/core's sharded CountingSemaphore on the
-// simulator: the token count lives in per-cell words, P optimistically
-// fetch-adds -1 on its home cell and repairs on underflow before falling
-// back to a mutex+condition slow path that scans every cell, and V adds to
-// a DIFFERENT cell than its thread's P takes from — so tokens migrate and
-// every schedule exercises the cross-cell scan. The detectors are the
-// abstract ones: never more than `tokens` threads between P and V, and the
-// cells must sum back to `tokens` at quiescence (a double-granted or
-// stranded token shows up here). The transient-negative window — a cell
-// driven below zero by an optimistic P racing a V — is precisely what
-// bounded-exhaustive exploration covers that unit tests only sample.
-func simCSem(tokens, threads, shards int) SimProgram {
-	return SimProgram{
-		Procs: threads,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			nonEmpty := w.NewCondition()
-			cells := make([]sim.Word, shards)
-			for i := 0; i < tokens; i++ {
-				cells[i%shards].Poke(cells[i%shards].Peek() + 1)
-			}
-			var waiters sim.Word
-			// Cells are uint64 two's-complement; "negative" is the wrapped
-			// range a repair is in flight for.
-			neg := func(v uint64) bool { return v >= 1<<63 }
-			takeAny := func(e *sim.Env) bool {
-				for i := range cells {
-					if v := e.Load(&cells[i]); v != 0 && !neg(v) {
-						if !neg(e.Add(&cells[i], ^uint64(0))) {
-							return true
-						}
-						e.Add(&cells[i], 1)
-					}
-				}
-				return false
-			}
-			p := func(e *sim.Env, cell int) {
-				if !neg(e.Add(&cells[cell], ^uint64(0))) {
-					return
-				}
-				e.Add(&cells[cell], 1) // repair: the cell had nothing to give
-				m.Acquire(e)
-				e.Add(&waiters, 1)
-				for !takeAny(e) {
-					nonEmpty.Wait(e, m)
-				}
-				e.Add(&waiters, ^uint64(0))
-				m.Release(e)
-			}
-			v := func(e *sim.Env, cell int) {
-				e.Add(&cells[cell], 1)
-				if e.Load(&waiters) != 0 {
-					m.Acquire(e)
-					nonEmpty.Signal(e)
-					m.Release(e)
-				}
-			}
-			var inCS, overlap sim.Word
-			for i := 0; i < threads; i++ {
-				home, away := i%shards, (i+1)%shards
-				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
-					p(e, home)
-					if e.Add(&inCS, 1) > uint64(tokens) {
-						e.Store(&overlap, 1)
-					}
-					e.Work(1)
-					e.Add(&inCS, ^uint64(0))
-					v(e, away)
-				})
-			}
-			return func() error {
-				if overlap.Peek() != 0 {
-					return fmt.Errorf("more than %d threads inside the counting-semaphore region", tokens)
-				}
-				var sum uint64
-				for i := range cells {
-					sum += cells[i].Peek()
-				}
-				if sum != uint64(tokens) {
-					return fmt.Errorf("cells sum to %d at quiescence, want %d (token granted twice or stranded)", sum, tokens)
 				}
 				return nil
 			}

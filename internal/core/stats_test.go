@@ -32,7 +32,6 @@ func TestShardsFillWholeCacheLines(t *testing.T) {
 		{"registryShard", unsafe.Sizeof(registryShard{})},
 		{"wheelBucket", unsafe.Sizeof(wheelBucket{})},
 		{"statShard", unsafe.Sizeof(statShard{})},
-		{"csemShard", unsafe.Sizeof(csemShard{})},
 		{"traceShard", unsafe.Sizeof(traceShard{})},
 	} {
 		if c.size == 0 || c.size%cacheLineSize != 0 {

@@ -20,16 +20,17 @@
 //     for the tail the bound does not reach.
 //
 // A failing schedule — a conformance divergence from the specification, a
-// deadlock, a livelock, or a wrong outcome — is serialized as a replayable
-// Certificate: the sparse list of decisions that differed from the default
-// policy. Certificates are automatically minimized (decision points are
-// dropped while the failure still reproduces) and replay byte-identically,
-// so a CI failure travels as a small JSON file that reproduces locally
-// with `threadsim -replay`.
+// panic, a deadlock, a livelock, or a wrong outcome — is serialized as a
+// replayable Certificate: the sparse list of decisions that differed from
+// the default policy. Certificates are automatically minimized (decision
+// points are dropped while the failure still reproduces) and replay
+// byte-identically, so a CI failure travels as a small JSON file that
+// reproduces locally with `threadsim -replay`.
 package explore
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 
 	"threads/internal/checker"
@@ -42,8 +43,9 @@ import (
 // Violation is one failing schedule's diagnosis.
 type Violation struct {
 	// Kind is "conformance" (the linearization trace diverges from the
-	// formal specification), "deadlock", "livelock" (step limit), or
-	// "outcome" (the litmus's own post-run check failed).
+	// formal specification), "panic" (a thread body panicked; Detail is the
+	// panic value), "deadlock", "livelock" (step limit), or "outcome" (the
+	// litmus's own post-run check failed).
 	Kind   string
 	Detail string
 }
@@ -264,7 +266,7 @@ func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
 	w, k := simthreads.NewWorldOpts(cfg, opts)
 	rec.kern = k
 	check := lit.Sim.Build(w, k)
-	err := k.Run()
+	panicked, err := runKernel(k)
 	res := RunResult{
 		Decisions: rec.decisions,
 		Events:    events,
@@ -280,6 +282,8 @@ func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
 	}
 	if _, verr := trace.CheckAll(events); verr != nil {
 		res.Violation = &Violation{Kind: "conformance", Detail: verr.Error()}
+	} else if panicked != nil {
+		res.Violation = &Violation{Kind: "panic", Detail: fmt.Sprintf("%v", panicked)}
 	} else if errors.Is(err, sim.ErrAborted) {
 		// Cut short by the state cache; the trace prefix above was still
 		// conformance-checked, and the unexplored suffix is covered by the
@@ -296,4 +300,13 @@ func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
 		}
 	}
 	return res
+}
+
+// runKernel runs k and hands back a panic that Run re-raised from a thread
+// body, so that one crashing schedule is reported as a violation with a
+// certificate instead of killing the whole sweep. Run re-raises only after
+// every thread goroutine has unwound, so nothing of the run is left behind.
+func runKernel(k *sim.Kernel) (panicked any, err error) {
+	defer func() { panicked = recover() }()
+	return nil, k.Run()
 }

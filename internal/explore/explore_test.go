@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"threads/internal/checker"
+	"threads/internal/sim"
+	"threads/internal/simthreads"
 )
 
 // testBudget keeps a single test from hanging CI if an enumeration
@@ -72,6 +74,46 @@ func TestExploreBrokenAlertK1(t *testing.T) {
 	res := Replay(lit, cert)
 	if res.Violation == nil || res.Violation.Kind != cert.Violation {
 		t.Fatalf("certificate replay got %v, want kind %q", res.Violation, cert.Violation)
+	}
+}
+
+// TestExplorePanicIsAViolation: a thread body that panics on one schedule
+// is reported as a "panic" violation whose certificate replays, instead of
+// crashing the sweep. The panic needs one preemption: t2 panics only if it
+// runs between t1's two stores and sees the transient 1.
+func TestExplorePanicIsAViolation(t *testing.T) {
+	lit := &checker.Litmus{
+		Name: "panics-under-preemption",
+		Sim: checker.SimProgram{
+			Procs: 2,
+			Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
+				var x sim.Word
+				k.Spawn("t1", func(e *sim.Env) {
+					e.Store(&x, 1)
+					e.Store(&x, 0)
+				})
+				k.Spawn("t2", func(e *sim.Env) {
+					if e.Load(&x) == 1 {
+						panic("t2 saw the transient 1")
+					}
+				})
+				return nil
+			},
+		},
+	}
+	if rep := Explore(lit, Options{MaxPreemptions: 0, Budget: testBudget}); rep.Violation != nil {
+		t.Fatalf("k=0 found %v; the panic needs a preemption", rep.Violation)
+	}
+	rep := Explore(lit, Options{MaxPreemptions: 1, Budget: testBudget})
+	if rep.Violation == nil || rep.Violation.Kind != "panic" {
+		t.Fatalf("violation = %v, want kind panic", rep.Violation)
+	}
+	if !strings.Contains(rep.Violation.Detail, "transient 1") {
+		t.Errorf("detail %q does not carry the panic value", rep.Violation.Detail)
+	}
+	res := Replay(lit, rep.Certificate)
+	if res.Violation == nil || res.Violation.Kind != "panic" {
+		t.Fatalf("certificate replay got %v, want kind panic", res.Violation)
 	}
 }
 
