@@ -366,12 +366,15 @@ func BenchmarkE13_AlertPStorm(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E18 — deadline plumbing overhead (timer wheel vs time.AfterFunc + Alert).
+// E18 — deadline plumbing overhead (runtime timer vs time.AfterFunc + Alert).
 // ---------------------------------------------------------------------------
 
-// The cancel path is the one every successful deadline wait pays: arm a
-// wheel entry, perform the wait, cancel-and-drain on the way out. The
-// entry is cached per thread, so the steady state must not allocate.
+// A deadline wait that can be satisfied at once arms nothing: an
+// uncontended AcquireDeadline or AlertPDeadline is its TryAcquire or TryP.
+// A wait that can block arms its thread's timer, waits, and stops the
+// timer or awaits its fire on the way out; the ping-pongs below time that
+// path. The timer is created once per thread and Reset afterwards, so the
+// steady state must not allocate.
 
 func BenchmarkE18_AcquireDeadlineUncontended(b *testing.B) {
 	b.ReportAllocs()
@@ -385,9 +388,8 @@ func BenchmarkE18_AcquireDeadlineUncontended(b *testing.B) {
 	}
 }
 
-// The same cancel path on a Fork'd thread, whose SELF is one registry
-// lookup: the benchmark goroutine above is adopted, so its SELF also
-// re-checks the goroutine id.
+// The same path on a Fork'd thread. TryAcquire comes first, so neither
+// this thread nor the adopted benchmark goroutine above recovers SELF.
 func BenchmarkE18_AcquireDeadlineForked(b *testing.B) {
 	b.ReportAllocs()
 	var m threads.Mutex
@@ -435,8 +437,48 @@ func BenchmarkE18_AfterFuncAlertBaseline(b *testing.B) {
 	}
 }
 
+// BenchmarkE18_DeadlinePingPong is the blocking path: two Fork'd threads
+// pass a token through a pair of semaphores, and every AlertPDeadline that
+// finds its semaphore unavailable arms its thread's timer, parks until the
+// other thread's V and stops the timer. One op is one round, a wait on
+// each side.
+func BenchmarkE18_DeadlinePingPong(b *testing.B) {
+	far := time.Now().Add(time.Hour)
+	benchPingPong(b, func(s *threads.Semaphore) error { return s.AlertPDeadline(far) })
+}
+
+// BenchmarkE18_AlertPPingPong is the same ping-pong with plain AlertP, so
+// the timer's share of a blocking deadline wait is the difference of the
+// two rows.
+func BenchmarkE18_AlertPPingPong(b *testing.B) {
+	benchPingPong(b, (*threads.Semaphore).AlertP)
+}
+
+func benchPingPong(b *testing.B, wait func(*threads.Semaphore) error) {
+	b.ReportAllocs()
+	var ping, pong threads.Semaphore
+	ping.P()
+	pong.P()
+	side := func(in, out *threads.Semaphore) func() {
+		return func() {
+			for i := 0; i < b.N; i++ {
+				if err := wait(in); err != nil {
+					panic(err) // the other side would wait forever
+				}
+				out.V()
+			}
+		}
+	}
+	b.ResetTimer()
+	t1 := threads.Fork(side(&ping, &pong))
+	t2 := threads.Fork(side(&pong, &ping))
+	ping.V()
+	threads.Join(t1)
+	threads.Join(t2)
+}
+
 // The fire path in aggregate: waiters whose deadlines all expire, so every
-// op crosses the wheel runner, an Alert delivery and the drain epilogue.
+// op fires the thread's runtime timer, delivers an Alert and drains.
 func BenchmarkE18_DeadlineExpires(b *testing.B) {
 	b.ReportAllocs()
 	// The paper's binary semaphore is INITIALLY available, so the zero

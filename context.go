@@ -6,31 +6,20 @@ import (
 	"sync/atomic"
 
 	"threads/internal/core"
-	"threads/internal/spinlock"
 )
 
 // DeadlineExceeded is returned by the deadline variants — AlertWaitDeadline,
 // AlertPDeadline and AcquireDeadline — when the wait ended because its
 // deadline fired. It matches context.DeadlineExceeded under errors.Is.
 //
-// The deadline variants are built on the package's timer wheel: each wait
-// arms one timer entry that delivers the deadline by Alert, and every exit
-// path cancels-and-drains its own entry, so a deadline that fires after the
-// wait is satisfied can never poison a later wait — the stale-alert race of
-// the hand-rolled time.AfterFunc + Alert + timer.Stop pattern is fixed by
-// construction. See the Alert documentation for the drain obligation the
-// hand-rolled pattern carries.
+// Each deadline variant that can block arms its thread's runtime timer,
+// which delivers the deadline by Alert, and every exit path, a panic
+// included, stops the timer or awaits its fire and drains a late alert, so
+// a deadline that fires after the wait is satisfied can never poison a
+// later wait — the stale-alert race of the hand-rolled time.AfterFunc +
+// Alert + timer.Stop pattern is fixed by construction. See the Alert
+// documentation for the drain obligation the hand-rolled pattern carries.
 var DeadlineExceeded = core.DeadlineExceeded
-
-// ctxAlert states, mirroring the timer wheel's entry state machine: the
-// stop/fire race is resolved by one CAS, and a loser of the fire race waits
-// out the delivery so the alert can be drained before stop returns.
-const (
-	ctxArmed uint32 = iota
-	ctxFiring
-	ctxFired
-	ctxCancelled
-)
 
 // AlertOnDone arranges for t to be alerted when ctx is done, bridging
 // context-style cancellation into the paper's alerting world. The returned
@@ -46,44 +35,35 @@ const (
 //	    err = ctx.Err() // the context, not a user Alert, ended the wait
 //	}
 //
-// When stop is called by t itself it also drains a delivered-but-unconsumed
-// alert, so a context that fires after the wait is satisfied cannot poison
-// t's next alertable wait. Called from any other thread, stop cannot drain
-// (TestAlert consumes only the caller's own alert); the true return then
-// tells the caller t may still have the alert pending. As with any consumer
-// of the single-bit alerts set, a drain may also consume a user Alert that
-// merged with the context's — exactly as if t had called TestAlert itself.
+// stop uses the deadline variants' handshake: when context.AfterFunc's own
+// stop fails, the callback has started, and stop waits for the callback's
+// token, which it sends after its Alert. When stop is called by t itself it
+// also drains a delivered-but-unconsumed alert, so a context that fires
+// after the wait is satisfied cannot poison t's next alertable wait. Called
+// from any other thread, stop cannot drain (TestAlert consumes only the
+// caller's own alert); the true return then tells the caller t may still
+// have the alert pending. Only the first call of stop can report true. As
+// with any consumer of the single-bit alerts set, a drain may also consume
+// a user Alert that merged with the context's — exactly as if t had called
+// TestAlert itself.
 func AlertOnDone(ctx context.Context, t *Thread) (stop func() (fired bool)) {
-	var state atomic.Uint32
+	fired := make(chan struct{}, 1)
 	inner := context.AfterFunc(ctx, func() {
-		if state.CompareAndSwap(ctxArmed, ctxFiring) {
-			core.Alert(t)
-			state.Store(ctxFired)
-		}
+		core.Alert(t)
+		// Traced, Alert adopted this goroutine to stamp its event.
+		core.Detach()
+		fired <- struct{}{}
 	})
+	var stopped atomic.Bool
 	return func() bool {
-		if state.CompareAndSwap(ctxArmed, ctxCancelled) {
-			inner()
-			return false
+		if stopped.Swap(true) || inner() {
+			return false // stop already ran, or the callback never will
 		}
-		for {
-			switch state.Load() {
-			case ctxFired:
-				// Consume the fired state so stop is idempotent: only the
-				// call that observes the delivery drains and reports it.
-				if !state.CompareAndSwap(ctxFired, ctxCancelled) {
-					return false
-				}
-				if core.Self() == t {
-					_ = core.TestAlert() // the drain: a stale context alert is consumed here by design
-				}
-				return true
-			case ctxCancelled:
-				return false // stop already ran
-			default:
-				spinlock.Pause(16) // firing: the delivery is one Alert call away
-			}
+		<-fired
+		if core.Self() == t {
+			_ = core.TestAlert() // the drain: a stale context alert is consumed here by design
 		}
+		return true
 	}
 }
 
@@ -98,16 +78,18 @@ func AlertOnDone(ctx context.Context, t *Thread) (stop func() (fired bool)) {
 //	    return c.AlertWait(&m)
 //	})
 //
-// The arrangement is stopped and drained on every return path, so a
-// context firing after body completes never poisons a later wait.
-func WithContext(ctx context.Context, body func() error) error {
+// The arrangement is stopped and drained on every return path, a panic in
+// body included, so a context firing after body completes never poisons a
+// later wait.
+func WithContext(ctx context.Context, body func() error) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	stop := AlertOnDone(ctx, core.Self())
-	err := body()
-	if stop() && errors.Is(err, Alerted) {
-		return ctx.Err()
-	}
-	return err
+	defer func() {
+		if stop() && errors.Is(err, Alerted) {
+			err = ctx.Err()
+		}
+	}()
+	return body()
 }

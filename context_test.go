@@ -171,3 +171,33 @@ func TestWithContextUserAlertPassesThrough(t *testing.T) {
 		t.Fatalf("user-alerted WithContext returned %v, want Alerted", err)
 	}
 }
+
+// TestWithContextPanicStops checks that a panic in WithContext's body
+// still stops the arrangement: cancelling the context afterwards must not
+// alert the thread, so its next alertable wait ends by its own deadline.
+func TestWithContextPanicStops(t *testing.T) {
+	var (
+		m threads.Mutex
+		c threads.Condition
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	threads.Fork(func() {
+		func() {
+			defer func() { _ = recover() }()
+			_ = threads.WithContext(ctx, func() error { panic("body failed") })
+		}()
+		cancel()
+		m.Acquire()
+		defer m.Release()
+		errCh <- c.AlertWaitDeadline(&m, time.Now().Add(50*time.Millisecond))
+	})
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, threads.DeadlineExceeded) {
+			t.Fatalf("wait after a panicked WithContext returned %v, want DeadlineExceeded: the context alert outlived its body", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("wait after a panicked WithContext never returned")
+	}
+}

@@ -45,10 +45,10 @@ func (r *rpc) await() (string, error) {
 }
 
 // awaitDeadline is await with the deadline packaged into the wait itself:
-// no timer, no Alert plumbing, no epilogue to get wrong. The timer wheel
-// alerts this thread if the deadline passes, and AlertWaitDeadline
-// cancels-and-drains its own timer entry on every return path, so the
-// completion/deadline race cannot leak an alert no matter who wins.
+// no timer, no Alert plumbing, no epilogue to get wrong. The thread's
+// runtime timer alerts it if the deadline passes, and AlertWaitDeadline
+// stops that timer or awaits its fire and drains on every return path, so
+// the completion/deadline race cannot leak an alert no matter who wins.
 func (r *rpc) awaitDeadline(deadline time.Time) (string, error) {
 	r.mu.Acquire()
 	defer r.mu.Release()

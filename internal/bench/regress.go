@@ -202,16 +202,17 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	add("e17.por_prune_frac", float64(expRep.Pruned)/float64(sched+expRep.Pruned), "higher", true, 0.02)
 	add("e17.explore_allocs_per_sched", float64(expAfter.Mallocs-expBefore.Mallocs)/float64(sched), "lower", true, 0.05)
 
-	// E18: the deadline cancel path — arm a timer-wheel entry, take the
-	// uncontended mutex, cancel-and-drain on the way out. Steady-state
-	// allocations must be zero (the timer entry is cached per thread;
-	// that is the stable metric); the wall-clock cost is dominated by
-	// SELF recovery, shared with every alertable operation, and enforced
-	// only with -timed.
+	// E18: the deadline variants. A free mutex is taken before anything
+	// is armed, so e18.acquire_deadline_ns times AcquireDeadline's
+	// TryAcquire path on threadsbench's adopted main goroutine. Arm and
+	// cancel are timed by a blocking ping-pong of two Fork'd threads whose
+	// AlertPDeadline waits park until the other thread's V; its
+	// steady-state allocations must be zero (each thread's timer is
+	// created once and Reset afterwards; that is the stable metric).
 	dlTotal := o.pick(20_000, 100_000)
 	var dm core.Mutex
 	dlFar := time.Now().Add(time.Hour)
-	ns, allocs = timeAndAllocs(dlTotal, func(n int) {
+	ns, _ = timeAndAllocs(dlTotal, func(n int) {
 		for i := 0; i < n; i++ {
 			if err := dm.AcquireDeadline(dlFar); err != nil {
 				panic(err)
@@ -220,6 +221,14 @@ func CollectRegressionMetrics(quick bool) Baseline {
 		}
 	})
 	add("e18.acquire_deadline_ns", ns, "lower", false, 0)
+	ns, allocs = timeAndAllocs(20_000, func(n int) {
+		runPingPong(n, func(s *core.Semaphore) {
+			if err := s.AlertPDeadline(dlFar); err != nil {
+				panic(err)
+			}
+		})
+	})
+	add("e18.deadline_pingpong_ns", ns, "lower", false, 0)
 	add("e18.arm_cancel_allocs", allocs, "lower", true, 0.05)
 
 	// Park-path allocations, measured directly: one Fork thread blocking
@@ -227,7 +236,7 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	// property; the cached waiter makes this exactly 0 in steady state,
 	// the slack absorbs runtime noise (timer and scheduler allocations).
 	parks := 20_000
-	nsPark, allocsPark := timeAndAllocs(parks, runParkPingPong)
+	nsPark, allocsPark := timeAndAllocs(parks, func(n int) { runPingPong(n, (*core.Semaphore).P) })
 	add("park.ns_per_park", nsPark, "lower", false, 0)
 	add("park.allocs_per_park", allocsPark, "lower", true, 0.05)
 
@@ -270,10 +279,11 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	return b
 }
 
-// runParkPingPong forces total real parks: two Fork threads alternating
-// through a pair of semaphores, so every P (after the first) blocks and
-// every episode goes through the full park/wake round-trip.
-func runParkPingPong(total int) {
+// runPingPong forces total real parks: two Fork'd threads alternate
+// through a pair of semaphores, each calling wait on its own and V on the
+// other's, so every wait (after the first) blocks and every episode goes
+// through the full park/wake round-trip.
+func runPingPong(total int, wait func(*core.Semaphore)) {
 	var a, b core.Semaphore
 	b.P()
 	rounds := total / 2
@@ -283,17 +293,16 @@ func runParkPingPong(total int) {
 	done := make(chan struct{})
 	core.Fork(func() {
 		for i := 0; i < rounds; i++ {
-			a.P()
+			wait(&a)
 			b.V()
 		}
 	})
-	t2 := core.Fork(func() {
+	core.Fork(func() {
 		defer close(done)
 		for i := 0; i < rounds; i++ {
-			b.P()
+			wait(&b)
 			a.V()
 		}
 	})
 	<-done
-	_ = t2
 }

@@ -10,9 +10,11 @@ import (
 // simDeadline is the deadline/completion race in virtual time: an owner
 // whose first wait carries a deadline (a DeadlineTimer fired by a dedicated
 // timer thread — the explored position of that one step IS the firing
-// time), a signaler that satisfies both of the owner's waits, and a second,
-// deadline-less alertable wait that detects poisoning. The owner's epilogue
-// is CancelAndDrain, the construction core's deadline variants use; with
+// time, and the one step races the owner's one stop exactly as a runtime
+// timer's function races its Stop), a signaler that satisfies both of the
+// owner's waits, and a second, deadline-less alertable wait that detects
+// poisoning. The owner's epilogue is CancelAndDrain, the stop-or-await
+// handshake core's deadline variants use; with
 // broken=true it is CancelBroken — the timer.Stop-with-no-drain pattern —
 // and the schedule that fires the timer after the first wait is satisfied
 // leaks the alert into the second wait (the violation the broken litmus

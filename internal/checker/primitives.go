@@ -72,7 +72,7 @@ func Primitives() []*Primitive {
 		{
 			Name:           "deadline",
 			Layer:          "internal",
-			SpecFace:       "derived from Alert: a timer wheel alerts the blocked thread at its deadline; cancel-and-drain on every exit path is the invariant the deadline litmuses check",
+			SpecFace:       "derived from Alert: the thread's runtime timer alerts it at its deadline; stop-or-await-the-fire and drain on every exit path is the invariant the deadline litmuses check",
 			Litmuses:       []string{"deadline", "deadline-broken"},
 			VetObligations: []string{"alerted"},
 		},

@@ -96,12 +96,13 @@ func (c *Condition) Wait(m *Mutex) {
 		i, mObj, cObj := c.enqueueTraced(m, t)
 		reason, hseq := c.block(i, nil, &m.g)
 		c.committed.Add(-1)
-		if reason == reasonHandoff && hseq != 0 {
+		if reason == reasonHandoff && hseq != handoffDemoted {
 			// A Release handed this (morphed) waiter the mutex directly;
 			// hseq is the stamp its second CAS certified for our
 			// resumption, so the Resume event is emitted here and the
 			// reacquisition is already done. (A demoted hand-off arrives
-			// with hseq 0 and reacquires below like a plain wake.)
+			// with hseq handoffDemoted and reacquires below like a plain
+			// wake.)
 			traceEmit(hseq, TraceResume, t.id, mObj, cObj, false)
 			m.entered(instr.Load(), t)
 			return
@@ -161,7 +162,7 @@ func (c *Condition) spinBlock(i uint64) bool {
 // block returns the wake reason (reasonWake for signal/broadcast or elided
 // waits, reasonAlert when Alert won, reasonHandoff when a Release handed
 // the morphed waiter the mutex directly — hseq is then the certified
-// resume stamp, or 0 for an untraced or demoted hand-off).
+// resume stamp, 0 for an untraced hand-off, or handoffDemoted).
 //
 // For plain waits, mg names the mutex gate Signal may morph this waiter
 // onto (wait morphing); alertable waits pass nil — a morphed waiter parks

@@ -6,9 +6,9 @@ import (
 )
 
 // The component costs behind the E18 (root bench_test.go) numbers: a
-// deadline operation is SELF recovery + the inner alertable wait + one
-// wheel arm/cancel round trip. These isolate the first and last terms so a
-// regression in either is attributable.
+// deadline wait that can block is SELF recovery + the inner alertable wait
+// + one timer Reset/Stop round trip. These isolate the first and last terms
+// so a regression in either is attributable.
 
 func BenchmarkSelf(b *testing.B) {
 	b.ReportAllocs()

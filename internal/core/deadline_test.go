@@ -294,7 +294,7 @@ func TestDeadlineFiresAfterSatisfiedWait(t *testing.T) {
 }
 
 // TestDeadlineEntryReuse drives many deadline episodes (mixed outcomes)
-// through one thread's cached timer entry.
+// through one thread's timer.
 func TestDeadlineEntryReuse(t *testing.T) {
 	var (
 		m Mutex
@@ -337,8 +337,8 @@ func TestDeadlineEntryReuse(t *testing.T) {
 	waitDone(t, done, "deadline reuse loop")
 }
 
-// TestManyDeadlinesFire arms many concurrent deadlines across the wheel's
-// buckets and checks that every one of them fires.
+// TestManyDeadlinesFire arms many concurrent deadlines, one runtime timer
+// per thread, and checks that every one of them fires.
 func TestManyDeadlinesFire(t *testing.T) {
 	var s Semaphore
 	s.P() // never available: every wait must end by deadline
@@ -378,4 +378,67 @@ func TestAcquireDeadlineCheckingMode(t *testing.T) {
 		m.Release()
 	})
 	waitDone(t, done, "checking-mode AcquireDeadline")
+}
+
+// TestDeadlinePanicStopsTimer checks that a panic through a deadline wait
+// stops its timer. In checked mode, AlertWaitDeadline on a mutex the caller
+// does not hold panics in Release's REQUIRES check after the timer is
+// armed; the epilogue runs from a defer, so the orphaned deadline can
+// neither alert the thread after it has moved on nor disturb its next
+// deadline, whether that wait starts after the orphan's deadline has
+// passed or before.
+func TestDeadlinePanicStopsTimer(t *testing.T) {
+	defer SetChecking(SetChecking(true))
+	for _, pause := range []time.Duration{50 * time.Millisecond, 0} {
+		var (
+			m  Mutex
+			c1 Condition // the panicking wait leaves its commitment on c1
+			c2 Condition
+		)
+		done := make(chan struct{})
+		Fork(func() {
+			defer close(done)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("AlertWaitDeadline on an unheld mutex did not panic in checked mode")
+					}
+				}()
+				_ = c1.AlertWaitDeadline(&m, time.Now().Add(20*time.Millisecond))
+			}()
+			time.Sleep(pause)
+			m.Acquire()
+			err := c2.AlertWaitDeadline(&m, time.Now().Add(20*time.Millisecond))
+			m.Release()
+			if !errors.Is(err, DeadlineExceeded) {
+				t.Errorf("pause %v: the wait after a panicked deadline wait returned %v, want DeadlineExceeded", pause, err)
+			}
+		})
+		waitDone(t, done, "deadline wait after a panicked one")
+	}
+}
+
+// TestTracedDeadlineFireDetaches checks that traced deadline fires leave no
+// adopted registry entry behind. The runtime runs each fire on a fresh
+// goroutine, which Alert adopts to stamp its event; the fire Detaches it
+// before handing the owner its token.
+func TestTracedDeadlineFireDetaches(t *testing.T) {
+	StartTracing(1 << 12)
+	defer StopTracing()
+	var s Semaphore
+	s.P() // never available: every wait ends by its deadline (traced, P adopts this goroutine)
+	base := registrySize()
+	th := Fork(func() {
+		for i := 0; i < 20; i++ {
+			if err := s.AlertPDeadline(time.Now().Add(time.Millisecond)); !errors.Is(err, DeadlineExceeded) {
+				t.Errorf("wait %d returned %v, want DeadlineExceeded", i, err)
+			}
+		}
+	})
+	Join(th)
+	// A fire on a reused g may also free a stale entry: the registry can
+	// shrink, but must not grow.
+	if got := registrySize(); got > base {
+		t.Fatalf("registry grew from %d to %d entries over 20 traced deadline fires", base, got)
+	}
 }

@@ -302,9 +302,9 @@ func (g *gate) releaseNub(st *gateStats) {
 // fail only if some other transition intervened (a barging acquirer's CAS,
 // a concurrent V) — exactly the case in which a pre-drawn stamp would have
 // replayed as an acquisition of an unavailable gate — and then the
-// transfer is demoted: the recipient wakes with handoffSeq 0 and retries
-// its test-and-set like any woken thread. Stamp order equals CAS order for
-// every certified transition (trace.go), so the replay sees
+// transfer is demoted: the recipient wakes with handoffSeq handoffDemoted
+// and retries its test-and-set like any woken thread. Stamp order equals
+// CAS order for every certified transition (trace.go), so the replay sees
 // ... Release(seqR), Acquire(seqA) ... and stays clean.
 func (g *gate) releaseHandoff(st *gateStats, tc traceCtx) bool {
 	mode := HandoffMode(handoffMode.Load())
@@ -365,7 +365,7 @@ func (g *gate) releaseHandoff(st *gateStats, tc traceCtx) bool {
 		if g.word.CompareAndSwap(seqR<<1, seqA<<1|gateLockedBit) {
 			w.handoffSeq = seqA
 		} else {
-			w.handoffSeq = 0 // demoted: a concurrent transition intervened
+			w.handoffSeq = handoffDemoted // a concurrent transition intervened
 		}
 		w.wake()
 		return true
@@ -373,14 +373,16 @@ func (g *gate) releaseHandoff(st *gateStats, tc traceCtx) bool {
 }
 
 // finishHandoff completes a direct hand-off on the recipient side, after
-// its park returned reasonHandoff. Untraced, the gate is already ours (the
-// bit never cleared). Traced, a nonzero handoffSeq is the certified stamp
-// of our acquisition and we emit the event the winning CAS would have; a
-// zero handoffSeq is a demoted transfer and the caller must retry its
-// test-and-set (the episode is then left open for the retry loop).
+// its park returned reasonHandoff. A demoted transfer returns false: the
+// caller must retry its test-and-set (the episode is then left open for the
+// retry loop). Otherwise the gate is ours — the bit never cleared, or the
+// releaser's second CAS took it for us — and a traced caller emits the
+// event that CAS certified. The demotion is read from the waiter, not from
+// tc: AlertWait's Raise path reacquires with a zero tc while the releaser
+// traces, and must not take a demoted transfer for an untraced one.
 func (g *gate) finishHandoff(w *waiter, tc traceCtx) bool {
 	seq := w.handoffSeq
-	if tc.kind != TraceNone && seq == 0 {
+	if seq == handoffDemoted {
 		return false
 	}
 	w.endEpisode()

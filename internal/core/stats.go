@@ -49,9 +49,9 @@ type Stats struct {
 	AlertedP      uint64 // AlertP returned Alerted
 	TestAlertTrue uint64 // TestAlert returned true
 
-	TimerArm    uint64 // deadline waits that armed a timer-wheel entry
-	TimerFire   uint64 // wheel entries that fired (delivered an Alert)
-	TimerCancel uint64 // wheel entries cancelled before firing
+	TimerArm    uint64 // deadline waits that could block and armed their thread's timer
+	TimerFire   uint64 // armed timers that fired (delivered an Alert)
+	TimerCancel uint64 // armed timers stopped before firing
 	TimerDrain  uint64 // stale timer alerts drained after a satisfied wait
 
 	PriBoost   uint64 // effective-priority raises (inheritance donations, SetPriority up)

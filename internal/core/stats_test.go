@@ -30,7 +30,6 @@ func TestShardsFillWholeCacheLines(t *testing.T) {
 		size uintptr
 	}{
 		{"registryShard", unsafe.Sizeof(registryShard{})},
-		{"wheelBucket", unsafe.Sizeof(wheelBucket{})},
 		{"statShard", unsafe.Sizeof(statShard{})},
 		{"traceShard", unsafe.Sizeof(traceShard{})},
 	} {

@@ -49,10 +49,10 @@ type Thread struct {
 	// receives on it. Adopted threads have a nil done channel.
 	done chan struct{}
 
-	// timerE is the thread's cached timer-wheel entry, reused by every
-	// deadline wait so arming allocates nothing in steady state. Only the
-	// owning thread touches the field (see timerwheel.go).
-	timerE *timerEntry
+	// timerE is the thread's deadline timer, created by its first deadline
+	// wait and reused by every later one, so arming allocates nothing in
+	// steady state. Only the owning thread touches the field (deadline.go).
+	timerE *deadlineTimer
 
 	// basePri is the thread's assigned scheduling priority (ForkPri /
 	// SetPriority; larger is more urgent, default 0). effPri caches the

@@ -23,10 +23,15 @@ const (
 	// ownership of its gate to this waiter instead of clearing the lock
 	// bit, so the woken thread returns holding without retrying its
 	// test-and-set. (A traced hand-off whose certification failed is
-	// demoted: the claim still reads reasonHandoff but handoffSeq is 0
-	// and the recipient retries like a plain wake; see gate.releaseHandoff.)
+	// demoted: the claim still reads reasonHandoff but handoffSeq is
+	// handoffDemoted and the recipient retries like a plain wake; see
+	// gate.releaseHandoff.)
 	reasonHandoff
 )
+
+// handoffDemoted is the handoffSeq of a demoted hand-off. Trace stamps
+// count up from 1 and never reach it.
+const handoffDemoted = ^uint64(0)
 
 const (
 	// The low bits of the state word hold the wake reason; the rest is the
@@ -81,9 +86,10 @@ type waiter struct {
 	// queue's lock ordering makes the plain field race-free.
 	parkStart int64
 	// handoffSeq carries the certified acquisition stamp of a traced
-	// direct hand-off to the recipient (0 for an untraced hand-off, or a
-	// demoted one). Written by the releaser before wake, read by the
-	// recipient after park: ordered by the parking channel.
+	// direct hand-off to the recipient (0 for an untraced hand-off,
+	// handoffDemoted for a demoted one). Written by the releaser before
+	// wake, read by the recipient after park: ordered by the parking
+	// channel.
 	handoffSeq uint64
 	// morphGate, non-nil on a condition-queue waiter, names the mutex
 	// gate Signal may morph this waiter onto instead of waking it (wait

@@ -2,21 +2,24 @@ package simthreads
 
 import "threads/internal/sim"
 
-// DeadlineTimer models one armed timer-wheel entry (internal/core's
-// timerEntry) on the simulated multiprocessor, in virtual time: the wheel's
-// runner goroutine becomes an explicit "timer" thread whose single Fire
-// step the explorer places anywhere in the schedule. Where the step lands
+// DeadlineTimer models one armed deadline timer (internal/core's
+// deadlineTimer, a Go runtime timer) on the simulated multiprocessor, in
+// virtual time: the goroutine the runtime starts for the timer's function
+// becomes an explicit "timer" thread whose single Fire step the explorer
+// places anywhere in the schedule. Where the step lands
 // IS the firing time — before the wait (a pending alert), during it (the
 // deadline path), or after the wait is satisfied (the stale-alert race) —
 // so bounded-exhaustive exploration model-checks every deadline/completion
 // interleaving without any clock.
 //
-// The claim word carries the core entry's armed→{firing,cancelled} CAS: the
-// first TAS wins, exactly one of Fire and Cancel takes effect.
+// The claim word stands for the runtime timer's own state, which its Stop
+// races: Stop either removes the timer before its function starts (the
+// cancel's TAS wins) or finds the function started (Fire's TAS won). The
+// first TAS wins; exactly one of Fire and Cancel takes effect.
 type DeadlineTimer struct {
 	w     *World
 	claim sim.Word // 0 = armed; 1 = claimed by Fire or by a cancel
-	fired sim.Word // set by Fire after the Alert is delivered
+	fired sim.Word // the fire's token, set after the Alert is delivered
 }
 
 // NewDeadlineTimer creates an armed timer (the simulated analogue of
@@ -37,12 +40,12 @@ func (dt *DeadlineTimer) Fire(e *sim.Env, t *sim.T) {
 }
 
 // CancelAndDrain is the deadline epilogue run by the owning thread on every
-// exit path (core's cancelAndDrain + finishDeadline drain): claim the entry
-// or, if Fire won, wait out the delivery and drain the alert so it cannot
-// poison a later wait. Reports whether the deadline fired.
+// exit path (core's cancelAndDrain + finishDeadline drain): stop the timer
+// or, if Fire won, await its token and drain the alert so it cannot poison
+// a later wait. Reports whether the deadline fired.
 func (dt *DeadlineTimer) CancelAndDrain(e *sim.Env) (fired bool) {
 	if e.TAS(&dt.claim) == 0 {
-		return false // cancel won: the entry never alerted and never will
+		return false // Stop won: the timer never alerted and never will
 	}
 	for {
 		v := e.Load(&dt.fired)

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"threads/internal/baselines"
 	"threads/internal/core"
@@ -98,6 +100,72 @@ func TestRuntimeConformanceHandoffReadersWriters(t *testing.T) {
 		})
 		if n := collectRuntime(t, ck); n == 0 {
 			t.Fatal("no events recorded")
+		}
+	})
+}
+
+// TestRuntimeConformanceHandoffSilentReacquire covers a traced hand-off
+// demoted under a reacquisition that traces nothing itself: AlertWait's
+// Raise path reacquires its mutex silently (the Raise is stamped in the
+// alerts domain), yet the releaser traces, so a barging CAS between its
+// two CASes demotes the transfer. The recipient must then retry its
+// test-and-set; taking the demoted transfer for an untraced one would
+// return it holding a mutex another thread holds, which the replay reports
+// as a Raise violating Resume's WHEN m = NIL. Two threads loop Acquire →
+// AlertWait → Release, an alerter ends each wait about every 20 µs, and
+// three threads contend on the same mutex.
+func TestRuntimeConformanceHandoffSilentReacquire(t *testing.T) {
+	const (
+		episodes   = 20
+		nWaiters   = 2
+		waits      = 200
+		nContender = 3
+		pairs      = 3000
+	)
+	withHandoffAlways(t)
+	withRuntimeTracing(t, 1<<16, func() {
+		ck := New()
+		for ep := 0; ep < episodes; ep++ {
+			var (
+				mu   core.Mutex
+				cond core.Condition
+
+				remaining atomic.Int32
+			)
+			remaining.Store(nWaiters)
+			waiters := make([]*core.Thread, nWaiters)
+			for i := range waiters {
+				waiters[i] = core.ForkNamed("silent-waiter", func() {
+					for w := 0; w < waits; w++ {
+						mu.Acquire()
+						_ = cond.AlertWait(&mu) // only the alerter ends it; Alerted is the point
+						mu.Release()
+					}
+					remaining.Add(-1)
+					core.TestAlert()
+				})
+			}
+			contenders := make([]*core.Thread, nContender)
+			for i := range contenders {
+				contenders[i] = core.ForkNamed("silent-contender", func() {
+					for p := 0; p < pairs; p++ {
+						mu.Acquire()
+						mu.Release()
+					}
+				})
+			}
+			alerter := core.ForkNamed("silent-alerter", func() {
+				for remaining.Load() > 0 {
+					for _, w := range waiters {
+						core.Alert(w)
+					}
+					spinFor(20 * time.Microsecond)
+				}
+			})
+			for _, th := range append(append(waiters, contenders...), alerter) {
+				core.Join(th)
+			}
+			collectRuntime(t, ck)
 		}
 	})
 }

@@ -61,15 +61,15 @@
 // The deadline variants — Condition.AlertWaitDeadline,
 // Semaphore.AlertPDeadline, Mutex.AcquireDeadline — are alertable waits
 // that also give up when a deadline passes, returning DeadlineExceeded.
-// They are built on an internal timer wheel that delivers the deadline by
-// Alert, and they cancel-and-drain their own timer entry on every exit
-// path, so they are immune to the stale-alert race of the hand-rolled
-// pattern (arrange an Alert with time.AfterFunc, Stop the timer on
-// completion): when completion races the timer, Stop can lose, and the
-// leftover alert poisons the thread's next alertable wait. Prefer the
-// deadline variants for timeouts; see Alert for the drain obligation the
-// hand-rolled pattern carries. WithContext and AlertOnDone bridge
-// context.Context cancellation onto the same mechanism:
+// A wait that can block arms its thread's runtime timer, which delivers
+// the deadline by Alert, and every exit path stops the timer or awaits its
+// fire and drains a late alert, so they are immune to the stale-alert race
+// of the hand-rolled pattern (arrange an Alert with time.AfterFunc, Stop
+// the timer on completion): when completion races the timer, Stop can
+// lose, and the leftover alert poisons the thread's next alertable wait.
+// Prefer the deadline variants for timeouts; see Alert for the drain
+// obligation the hand-rolled pattern carries. WithContext and AlertOnDone
+// bridge context.Context cancellation onto the same handshake:
 //
 //	err := threads.WithContext(ctx, func() error {
 //	    return c.AlertWait(&m)
