@@ -159,6 +159,20 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	}
 	add("e2.sim_fastpath_frac_5p8t", res.FastPathRate(), "higher", true, 0.02)
 
+	// E6: Signal's user-code test of c on the simulated bounded buffer
+	// (threadsim -workload prodcons -procs 5 -producers 4 -consumers 4),
+	// as Nub calls per Signal that woke a thread — deterministic. A
+	// Signal that finds c empty must stay in user code, so this sits
+	// near 1; counting woken threads as still waiting sends about ten
+	// Signals into the Nub per wake.
+	pc, err := workload.SimProducerConsumer(workload.SimPCConfig{
+		Procs: 5, Producers: 4, Consumers: 4, ItemsPerProducer: 200, Capacity: 8, Work: 200, Seed: 1,
+	})
+	if err != nil {
+		panic(err)
+	}
+	add("e6.sim_signal_nub_per_wake", float64(pc.Stats.SignalNub)/float64(pc.Stats.SignalWoke), "lower", true, 0.05)
+
 	// E11: contended Acquire/Release ladder at 8 goroutines.
 	ladderTotal := o.pick(200_000, 1_000_000)
 	ns, allocs := timeAndAllocs(ladderTotal, func(n int) { RunLadder(8, n) })

@@ -49,13 +49,19 @@ type Condition struct {
 	// Signal wakes (or morphs) the most urgent waiter first; with no
 	// nonzero priorities in the process the order is exactly FIFO.
 	q queue.PriorityQueue[*waiter]
-	// committed counts threads that have entered the Wait protocol (read
-	// the eventcount) and not yet left it. The user code for Signal and
-	// Broadcast avoids calling the Nub when it is zero. It is incremented
-	// before the eventcount is read, so any Signal issued after a thread
-	// commits to waiting either sees the commitment or advances the
-	// eventcount that the thread's Block will re-check — no wakeup is
-	// lost in the window (the "wakeup-waiting race", experiment E4).
+	// committed counts the threads in the specification's c: those on q,
+	// plus those between Enqueue and Block's test of the eventcount. The
+	// user code for Signal and Broadcast avoids calling the Nub when it is
+	// zero. A waiter increments it before reading the eventcount, so any
+	// Signal issued after a thread commits to waiting either sees the
+	// commitment or advances the eventcount that the thread's Block will
+	// re-check — no wakeup is lost in the window (the "wakeup-waiting
+	// race", experiment E4). Whoever takes the waiter out of c decrements
+	// it, exactly once: Signal and Broadcast for each node they pop, under
+	// the Nub lock; the waiter itself when it never queued (an elided or
+	// spun-out Block, a pending alert) or when its alerted Remove finds it
+	// still queued. A woken thread on its way back to the mutex is not in
+	// c, so it no longer sends later Signals into the Nub.
 	committed atomic.Int32
 	traceID   atomic.Uint64 // conformance-trace identity, assigned lazily
 }
@@ -86,16 +92,21 @@ func (c *Condition) enqueueTraced(m *Mutex, t *Thread) (i, mObj, cObj uint64) {
 // removed from c by Signal or Broadcast and the mutex is free, it
 // re-enters a new critical section (the Resume action) and Wait returns.
 //
-// REQUIRES m = SELF. Return is a hint: the associated predicate must be
-// re-evaluated, and Wait called again if it does not hold.
+// REQUIRES m = SELF; checked mode tests it before the caller joins c, so a
+// violation panics with c untouched. Return is a hint: the associated
+// predicate must be re-evaluated, and Wait called again if it does not
+// hold.
 func (c *Condition) Wait(m *Mutex) {
 	statInc(statWaitCount)
-	if tracing() {
+	mode := instr.Load()
+	if mode&instrCheck != 0 {
+		m.requireHolder(Self(), "Wait")
+	}
+	if mode&instrTrace != 0 {
 		t := Self()
 		c.committed.Add(1)
 		i, mObj, cObj := c.enqueueTraced(m, t)
 		reason, hseq := c.block(i, nil, &m.g)
-		c.committed.Add(-1)
 		if reason == reasonHandoff && hseq != handoffDemoted {
 			// A Release handed this (morphed) waiter the mutex directly;
 			// hseq is the stamp its second CAS certified for our
@@ -116,10 +127,9 @@ func (c *Condition) Wait(m *Mutex) {
 	i := c.ec.Read()
 	m.Release() //threadsvet:ignore lockpair: Wait itself: the specification releases the caller-held mutex, blocks, reacquires (paper, Wait(m, c))
 	reason, _ := c.block(i, nil, &m.g)
-	c.committed.Add(-1)
 	if reason == reasonHandoff {
 		// Untraced hand-off: the mutex bit never cleared; we hold it.
-		mode := instr.Load()
+		mode = instr.Load()
 		m.entered(mode, m.self(mode, true))
 		return
 	}
@@ -132,11 +142,11 @@ func (c *Condition) Wait(m *Mutex) {
 // a few hundred nanoseconds. Returns true if the count advanced — the same
 // condition Block checks under the lock — so the wait is elided without
 // ever touching the queue. Skipped whenever another thread is committed to
-// the Wait protocol (the lock-free proxy for "the queue may be nonempty"):
-// an eventcount advance would resume that thread too, so spinning past it
+// the Wait protocol (the lock-free count of c, queued or about to be): an
+// eventcount advance would resume that thread too, so spinning past it
 // cannot starve anyone, but it would make the spinner steal wakeups the
 // queued thread was closer to; lone-waiter spinning mirrors sync.Mutex's
-// empty-queue policy.
+// empty-queue policy. Woken threads have left c and do not stop the spin.
 func (c *Condition) spinBlock(i uint64) bool {
 	if !canSpin() {
 		return false
@@ -156,7 +166,10 @@ func (c *Condition) spinBlock(i uint64) bool {
 // block is the Nub's Block(c, i) subroutine plus the descheduling: under
 // the spin lock it compares i with the current eventcount; if unequal (an
 // intervening Signal or Broadcast) it returns at once, otherwise the
-// calling thread is added to c's queue and descheduled.
+// calling thread is added to c's queue and descheduled. On the paths that
+// return without queueing, and on an alerted wait that still finds itself
+// queued, block ends the caller's commitment; otherwise the Signal or
+// Broadcast that popped the caller has ended it.
 //
 // For alertable waits, t carries the thread so Alert can claim the wait;
 // block returns the wake reason (reasonWake for signal/broadcast or elided
@@ -175,6 +188,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 		// spin — they must register for Alert before any waiting, else
 		// a pending alert would sit undelivered for the spin's
 		// duration.
+		c.committed.Add(-1)
 		statInc(statWaitSpin)
 		return reasonWake, 0
 	}
@@ -186,6 +200,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 		// claim it and skip the queue entirely.
 		if t.alerted.Load() && w.claim(reasonAlert) {
 			t.clearAlertWaiter()
+			c.committed.Add(-1)
 			w.endEpisode()
 			return reasonAlert, 0
 		}
@@ -195,6 +210,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 	w.parkStart = handoffNanos()
 	c.nub.Lock()
 	if c.ec.AdvancedSince(i) {
+		c.committed.Add(-1)
 		c.nub.Unlock()
 		statInc(statWaitElided)
 		if t != nil {
@@ -223,10 +239,12 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 		// Remove ourselves from c — the corrected AlertWait semantics:
 		// c' = delete(c, SELF) on the Alerted path, so a later Signal
 		// is never absorbed by this departed thread. A racing Signal
-		// may have popped us already; Remove is then a no-op and that
-		// Signal has re-popped another waiter.
+		// may have popped us already; Remove is then a no-op, and that
+		// Signal has ended our commitment and re-popped another waiter.
 		c.nub.Lock()
-		c.q.Remove(&w.item)
+		if c.q.Remove(&w.item) {
+			c.committed.Add(-1)
+		}
 		c.nub.Unlock()
 	}
 	hseq = w.handoffSeq
@@ -264,6 +282,9 @@ func (c *Condition) Signal() {
 		if n == nil {
 			break
 		}
+		// The popped waiter has left c, whether it is woken, morphed or
+		// already claimed by Alert: its commitment ends here.
+		c.committed.Add(-1)
 		w := n.Value
 		if mg := w.morphGate; mg != nil && c.morph(w, mg) {
 			return
@@ -297,13 +318,13 @@ func (c *Condition) Signal() {
 // gate.piDonate) and nothing acquires in the other order; composed, the
 // deepest chain is c.nub → mg.nub → donLock, still cycle-free.
 //
-// The spec face is untouched: a morphed waiter is still, abstractly, a
-// member of c until its Resume; its Resume event is emitted at the
-// reacquiring CAS (or with the hand-off's certified stamp) as for any
-// woken waiter, and the thin-air check is satisfied by the Signal stamped
-// above. Only plain Waits morph (block sets morphGate only when t == nil),
-// so the waiter on the mutex queue is unclaimed and cannot be raced by
-// Alert; the gate pops it like any Acquire waiter.
+// The spec face is untouched: like a woken waiter, a morphed one left c at
+// the Signal stamped above, which satisfies the thin-air check and has
+// ended its commitment; its Resume event is emitted at the reacquiring
+// CAS (or with the hand-off's certified stamp) as for any woken waiter.
+// Only plain Waits morph (block sets morphGate only when t == nil), so the
+// waiter on the mutex queue is unclaimed and cannot be raced by Alert; the
+// gate pops it like any Acquire waiter.
 func (c *Condition) morph(w *waiter, mg *gate) bool {
 	mg.nub.Lock()
 	mg.q.Push(&w.item)
@@ -350,7 +371,11 @@ func (c *Condition) Broadcast() {
 	// Claim and wake under the Nub lock: wake never blocks (the parking
 	// place is buffered), claims stay within the popped episodes, and the
 	// drain allocates nothing — where the old PopAll built a slice per
-	// Broadcast.
+	// Broadcast. Every drained waiter leaves c, so every commitment on
+	// the queue ends here.
+	if n := c.q.Len(); n != 0 {
+		c.committed.Add(int32(-n))
+	}
 	//threadsvet:ignore nubdiscipline: the drain closure is inlined into Broadcast (go build -gcflags=-m: no heap allocation, no indirect call survives)
 	c.q.Drain(func(n *queue.PItem[*waiter]) {
 		w := n.Value
@@ -394,11 +419,14 @@ func (c *Condition) AlertWait(m *Mutex) error { return c.alertWait(m, Self()) }
 // pays the identity lookup once per operation rather than once per layer.
 func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 	statInc(statWaitCount)
+	mode := instr.Load()
+	if mode&instrCheck != 0 {
+		m.requireHolder(t, "AlertWait")
+	}
 	c.committed.Add(1)
-	if tracing() {
+	if mode&instrTrace != 0 {
 		i, mObj, cObj := c.enqueueTraced(m, t)
 		reason, _ := c.block(i, t, nil)
-		c.committed.Add(-1)
 		if reason == reasonAlert {
 			// AlertResume's RAISES case is stamped in the alerts domain
 			// (under t's alertLock, where the alerts-set deletion is
@@ -420,7 +448,6 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 	i := c.ec.Read()
 	m.Release() //threadsvet:ignore lockpair: AlertWait itself: releases the caller-held mutex before blocking (paper, AlertWait(m, c))
 	reason, _ := c.block(i, t, nil)
-	c.committed.Add(-1)
 	m.Acquire() //threadsvet:ignore lockpair: AlertWait itself: reacquire on resumption; the caller holds m across AlertWait
 	if reason == reasonAlert {
 		t.alerted.Store(false)

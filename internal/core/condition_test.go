@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,4 +379,124 @@ func TestWaitersAdvisoryCount(t *testing.T) {
 	}
 	c.Signal()
 	waitDone(t, done, "single waiter")
+}
+
+// TestSignalEndsCommitment checks that Signal and Broadcast end the
+// commitment of every waiter they take out of c: right after the call, c is
+// empty and a second Signal stays in user code, although the woken threads
+// have not run yet. GOMAXPROCS(1) keeps them from running before the
+// assertions, since the test goroutine does not block in between.
+func TestSignalEndsCommitment(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer EnableStats(EnableStats(true))
+	for _, tc := range []struct {
+		name    string
+		waiters int
+		alert   bool
+		wake    func(*Condition)
+	}{
+		{"Signal/Wait", 1, false, (*Condition).Signal},
+		{"Broadcast/Wait", 3, false, (*Condition).Broadcast},
+		{"Signal/AlertWait", 1, true, (*Condition).Signal},
+	} {
+		var (
+			m     Mutex
+			c     Condition
+			ready bool
+			wg    sync.WaitGroup
+		)
+		wg.Add(tc.waiters)
+		for i := 0; i < tc.waiters; i++ {
+			Fork(func() {
+				defer wg.Done()
+				m.Acquire()
+				for !ready {
+					if tc.alert {
+						_ = c.AlertWait(&m)
+					} else {
+						c.Wait(&m)
+					}
+				}
+				m.Release()
+			})
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Waiters() < tc.waiters {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: only %d/%d waiters blocked", tc.name, c.Waiters(), tc.waiters)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		m.Acquire()
+		ready = true
+		m.Release()
+		tc.wake(&c)
+		committed := c.committed.Load()
+		fast := SnapshotStats().SignalFast
+		c.Signal()
+		fast = SnapshotStats().SignalFast - fast
+		wg.Wait()
+		if committed != 0 {
+			t.Errorf("%s: committed = %d right after the wake, want 0", tc.name, committed)
+		}
+		if fast != 1 {
+			t.Errorf("%s: the next Signal counted %d SignalFast, want 1", tc.name, fast)
+		}
+	}
+}
+
+// TestMisusedWaitLeavesNoCommitment checks that in checked mode Wait and
+// AlertWait on a mutex the caller does not hold panic before they commit
+// to c or emit anything: after the recovered panic c.committed is 0, the
+// next Signal stays in user code, and a traced run records no Enqueue.
+func TestMisusedWaitLeavesNoCommitment(t *testing.T) {
+	defer SetChecking(SetChecking(true))
+	defer EnableStats(EnableStats(true))
+	for _, traced := range []bool{false, true} {
+		for _, tc := range []struct {
+			name string
+			wait func(*Condition, *Mutex)
+		}{
+			{"Wait", (*Condition).Wait},
+			{"AlertWait", func(c *Condition, m *Mutex) { _ = c.AlertWait(m) }},
+		} {
+			var (
+				m Mutex
+				c Condition
+			)
+			if traced {
+				StartTracing(1 << 8)
+			}
+			done := make(chan struct{})
+			Fork(func() {
+				defer close(done)
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on an unheld mutex did not panic in checked mode", tc.name)
+					}
+				}()
+				tc.wait(&c, &m)
+			})
+			waitDone(t, done, tc.name+" on an unheld mutex")
+			if traced {
+				StopTracing()
+				shards, _ := CollectTrace()
+				for _, sh := range shards {
+					for _, r := range sh {
+						if r.Kind == TraceEnqueue {
+							t.Errorf("traced %s on an unheld mutex emitted Enqueue", tc.name)
+						}
+					}
+				}
+			}
+			if n := c.committed.Load(); n != 0 {
+				t.Errorf("traced=%v: committed = %d after a panicked %s, want 0", traced, n, tc.name)
+			}
+			fast := SnapshotStats().SignalFast
+			c.Signal()
+			if got := SnapshotStats().SignalFast - fast; got != 1 {
+				t.Errorf("traced=%v: Signal after a panicked %s counted %d SignalFast, want 1", traced, tc.name, got)
+			}
+		}
+	}
 }

@@ -382,18 +382,17 @@ func TestAcquireDeadlineCheckingMode(t *testing.T) {
 
 // TestDeadlinePanicStopsTimer checks that a panic through a deadline wait
 // stops its timer. In checked mode, AlertWaitDeadline on a mutex the caller
-// does not hold panics in Release's REQUIRES check after the timer is
-// armed; the epilogue runs from a defer, so the orphaned deadline can
-// neither alert the thread after it has moved on nor disturb its next
-// deadline, whether that wait starts after the orphan's deadline has
-// passed or before.
+// does not hold panics in its REQUIRES check after the timer is armed and
+// before it joins c, so the second wait reuses c. The epilogue runs from a
+// defer, so the orphaned deadline can neither alert the thread after it has
+// moved on nor disturb its next deadline, whether that wait starts after
+// the orphan's deadline has passed or before.
 func TestDeadlinePanicStopsTimer(t *testing.T) {
 	defer SetChecking(SetChecking(true))
 	for _, pause := range []time.Duration{50 * time.Millisecond, 0} {
 		var (
-			m  Mutex
-			c1 Condition // the panicking wait leaves its commitment on c1
-			c2 Condition
+			m Mutex
+			c Condition
 		)
 		done := make(chan struct{})
 		Fork(func() {
@@ -404,11 +403,11 @@ func TestDeadlinePanicStopsTimer(t *testing.T) {
 						t.Error("AlertWaitDeadline on an unheld mutex did not panic in checked mode")
 					}
 				}()
-				_ = c1.AlertWaitDeadline(&m, time.Now().Add(20*time.Millisecond))
+				_ = c.AlertWaitDeadline(&m, time.Now().Add(20*time.Millisecond))
 			}()
 			time.Sleep(pause)
 			m.Acquire()
-			err := c2.AlertWaitDeadline(&m, time.Now().Add(20*time.Millisecond))
+			err := c.AlertWaitDeadline(&m, time.Now().Add(20*time.Millisecond))
 			m.Release()
 			if !errors.Is(err, DeadlineExceeded) {
 				t.Errorf("pause %v: the wait after a panicked deadline wait returned %v, want DeadlineExceeded", pause, err)

@@ -8,7 +8,11 @@
 //     instructions in the caller: Acquire is a test-and-set of the lock
 //     bit; Release clears the bit and calls the Nub only if the queue of
 //     blocked threads is non-empty; Signal and Broadcast return immediately
-//     when no thread is committed to waiting.
+//     when no thread is in the condition variable — queued, or between its
+//     Enqueue and the Nub's Block. Whoever takes a waiter out (Signal,
+//     Broadcast, or the waiter itself when Block elides the wait or an
+//     Alert removes it) ends its count, so a woken thread on its way back
+//     to the mutex no longer sends Signals into the Nub.
 //
 //   - The "nub code" layer runs under a more primitive mutual-exclusion
 //     mechanism, a test-and-set spin lock (internal/spinlock). Nub routines

@@ -137,15 +137,22 @@ func (m *Mutex) entered(mode uint32, t *Thread) {
 // the hold.
 func (m *Mutex) leaving(mode uint32, t *Thread, op string) {
 	if mode&instrCheck != 0 {
-		if m.holder.Load() != t.id {
-			panic("threads: " + op + " REQUIRES m = SELF violated by " + t.name)
-		}
+		m.requireHolder(t, op)
 		m.holder.Store(0)
 	}
 	if m.piOn(mode) {
 		if h := m.g.piClearHolder(); h != nil {
 			h.undonate(&m.g)
 		}
+	}
+}
+
+// requireHolder is checked mode's test of REQUIRES m = SELF. Wait and
+// AlertWait run it before they commit to the condition or emit anything,
+// so a misuse panics with the condition untouched.
+func (m *Mutex) requireHolder(t *Thread, op string) {
+	if m.holder.Load() != t.id {
+		panic("threads: " + op + " REQUIRES m = SELF violated by " + t.name)
 	}
 }
 

@@ -256,3 +256,86 @@ func TestStressManyMutexes(t *testing.T) {
 		t.Fatalf("total = %d, want %d (lost increments)", total, workers*ops)
 	}
 }
+
+// TestStressCommitmentsQuiesce mixes every way of leaving a condition
+// variable — Signal, Broadcast, Alert, a deadline, an elided or spun-out
+// Block — across two conditions, and checks that once every thread is
+// joined each condition is empty and holds no commitment: whoever took a
+// waiter out of c ended its commitment exactly once.
+func TestStressCommitmentsQuiesce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const workers = 8
+	perWorker := 1000
+	if testing.Short() {
+		perWorker = 100
+	}
+	var (
+		m  Mutex
+		cs [2]Condition
+	)
+	handles := make([]*Thread, workers)
+	for i := range handles {
+		r := rand.New(rand.NewSource(int64(i)))
+		handles[i] = Fork(func() {
+			for n := 0; n < perWorker; n++ {
+				c := &cs[r.Intn(len(cs))]
+				m.Acquire()
+				switch r.Intn(3) {
+				case 0:
+					c.Wait(&m)
+				case 1:
+					_ = c.AlertWait(&m)
+				default:
+					d := time.Duration(50+r.Intn(151)) * time.Microsecond
+					_ = c.AlertWaitDeadline(&m, time.Now().Add(d))
+				}
+				m.Release()
+			}
+		})
+	}
+	stop := make(chan struct{})
+	driver := Fork(func() {
+		r := rand.New(rand.NewSource(98))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c := &cs[r.Intn(len(cs))]
+			if r.Intn(4) == 0 {
+				c.Broadcast()
+			} else {
+				c.Signal()
+			}
+			runtime.Gosched()
+		}
+	})
+	alerter := Fork(func() {
+		r := rand.New(rand.NewSource(99))
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Microsecond):
+				Alert(handles[r.Intn(workers)])
+			}
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		for _, h := range handles {
+			Join(h)
+		}
+		close(done)
+	}()
+	waitDone(t, done, "commitment churn workers")
+	close(stop)
+	Join(driver)
+	Join(alerter)
+	for i := range cs {
+		if n, q := cs[i].committed.Load(), cs[i].Waiters(); n != 0 || q != 0 {
+			t.Errorf("condition %d after every thread joined: committed = %d, %d queued; want 0 and 0", i, n, q)
+		}
+	}
+}

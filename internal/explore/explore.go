@@ -244,7 +244,8 @@ const maxRunSteps = 2_000_000
 
 // runProgram executes lit's simulator program once under rec's schedule,
 // replays the linearization trace through the specification, and applies
-// the litmus's own outcome check.
+// the litmus's own outcome check and then, since every thread finished,
+// the check that no condition variable kept a commitment or a waiter.
 func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
 	var events []trace.Event
 	opts := lit.Sim.Opts
@@ -294,8 +295,15 @@ func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
 			kind = "livelock"
 		}
 		res.Violation = &Violation{Kind: kind, Detail: err.Error()}
-	} else if check != nil {
-		if cerr := check(); cerr != nil {
+	} else {
+		var cerr error
+		if check != nil {
+			cerr = check()
+		}
+		if cerr == nil {
+			cerr = w.CheckConditions()
+		}
+		if cerr != nil {
 			res.Violation = &Violation{Kind: "outcome", Detail: cerr.Error()}
 		}
 	}

@@ -1,6 +1,7 @@
 package simthreads
 
 import (
+	"fmt"
 	"strconv"
 
 	"threads/internal/sim"
@@ -15,8 +16,12 @@ type Condition struct {
 	// ec is the eventcount: an atomically-readable, monotonically
 	// increasing counter (Reed 77).
 	ec sim.Word
-	// committed counts threads that have entered the Wait protocol; the
-	// user code of Signal/Broadcast tests it to avoid Nub calls.
+	// committed counts the threads in the specification's c: queued, or
+	// between Enqueue and Block. The user code of Signal/Broadcast tests
+	// it to avoid Nub calls. Whoever takes a waiter out of c decrements
+	// it once: Signal and Broadcast per popped thread, the waiter itself
+	// when Block elides its wait, a pending alert skips the queue, or its
+	// alerted remove finds it still queued.
 	committed sim.Word
 	q         tqueue
 }
@@ -26,7 +31,22 @@ func (w *World) NewCondition() *Condition {
 	w.nextCond++
 	c := &Condition{w: w, id: w.nextCond}
 	w.registerCond(c)
+	w.conds = append(w.conds, c)
 	return c
+}
+
+// CheckConditions reports the first condition variable a finished run
+// leaves with a standing commitment or a queued thread. With every thread
+// finished no thread is in any c, so every commitment must have been ended
+// exactly once. Call it only after Run returned with every thread
+// finished; it reads the words without simulating accesses.
+func (w *World) CheckConditions() error {
+	for _, c := range w.conds {
+		if n, q := c.committed.Peek(), len(c.q.items); n != 0 || q != 0 {
+			return fmt.Errorf("condition c%d ends the run with committed = %d and %d queued; every thread has finished", c.id, int64(n), q)
+		}
+	}
+	return nil
 }
 
 // ID returns the spec-level identity used in emitted actions.
@@ -46,7 +66,6 @@ func (c *Condition) Wait(e *sim.Env, m *Mutex) {
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
 	c.block(e, i, "Wait(c"+strconv.Itoa(int(c.id))+")")
-	e.Add(&c.committed, ^uint64(0)) // -1
 	m.acquireSilent(e, func() {
 		c.w.emit(e, spec.Resume{T: self, M: m.id, C: c.id})
 	})
@@ -54,7 +73,8 @@ func (c *Condition) Wait(e *sim.Env, m *Mutex) {
 
 // block is the Nub's Block(c, i): under the spin lock, compare i with the
 // eventcount; if they differ a Signal or Broadcast intervened and Block
-// just returns, otherwise the thread is queued and descheduled.
+// ends the caller's commitment and returns, otherwise the thread is queued
+// and descheduled (the Signal or Broadcast that pops it ends it).
 func (c *Condition) block(e *sim.Env, i uint64, reason string) {
 	w := c.w
 	self := e.Self()
@@ -62,6 +82,7 @@ func (c *Condition) block(e *sim.Env, i uint64, reason string) {
 	e.Work(callCost)
 	w.nubLock(e)
 	if e.Load(&c.ec) != i {
+		e.Add(&c.committed, ^uint64(0)) // -1
 		w.nubUnlock(e)
 		w.Stats.WaitElided++
 		return
@@ -85,10 +106,12 @@ func (c *Condition) blockAlertable(e *sim.Env, i uint64, reason string) (alerted
 		// Pending alert: the RAISES WHEN clause already holds; skip the
 		// queue entirely. (The alert flag is consumed at the
 		// AlertResume linearization, in the caller.)
+		e.Add(&c.committed, ^uint64(0))
 		w.nubUnlock(e)
 		return true
 	}
 	if e.Load(&c.ec) != i {
+		e.Add(&c.committed, ^uint64(0))
 		w.nubUnlock(e)
 		w.Stats.WaitElided++
 		return false
@@ -104,8 +127,12 @@ func (c *Condition) blockAlertable(e *sim.Env, i uint64, reason string) (alerted
 	st.alertTgt = nil
 	if woke == wakeAlert {
 		// The corrected AlertWait semantics: leave c before raising, so
-		// a later Signal is not absorbed by this departed thread.
-		c.q.remove(e, self)
+		// a later Signal is not absorbed by this departed thread. If a
+		// Signal or Broadcast popped it first, that popper ended the
+		// commitment.
+		if c.q.remove(e, self) {
+			e.Add(&c.committed, ^uint64(0))
+		}
 	}
 	w.nubUnlock(e)
 	return woke == wakeAlert
@@ -137,6 +164,7 @@ func (c *Condition) Signal(e *sim.Env) {
 		if t == nil {
 			break
 		}
+		e.Add(&c.committed, ^uint64(0)) // t has left c, woken or Alert-claimed
 		st := w.state(t)
 		if st.wakeup == wakeNone {
 			st.wakeup = wakeTransfer
@@ -173,6 +201,7 @@ func (c *Condition) Broadcast(e *sim.Env) {
 	w.nubLock(e)
 	e.Add(&c.ec, 1)
 	self := w.state(e.Self()).id
+	left := uint64(len(c.q.items)) // every queued thread leaves c
 	var woken []*sim.T
 	for {
 		t := c.q.pop(e)
@@ -184,6 +213,9 @@ func (c *Condition) Broadcast(e *sim.Env) {
 			st.wakeup = wakeTransfer
 			woken = append(woken, t)
 		}
+	}
+	if left != 0 {
+		e.Add(&c.committed, -left)
 	}
 	w.emit(e, spec.Broadcast{T: self, C: c.id})
 	for _, t := range woken {
@@ -203,7 +235,6 @@ func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
 	alerted = c.blockAlertable(e, i, "AlertWait(c"+strconv.Itoa(int(c.id))+")")
-	e.Add(&c.committed, ^uint64(0))
 	st := c.w.state(e.Self())
 	if alerted && c.w.opts.BuggyAlertSeize {
 		// The first released specification's Raise path (VariantNoMNil):

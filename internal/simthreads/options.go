@@ -14,9 +14,9 @@ type WorldOptions struct {
 	// these cases" — this option restores that overhead.
 	NoUserFastPath bool
 	// NoSignalFastPath makes Signal and Broadcast always call the Nub,
-	// even when no thread is committed to waiting (removing "Signal and
-	// Broadcast avoid calling the Nub if there are no threads to
-	// unblock").
+	// even when no thread is in c, queued or about to block (removing
+	// "Signal and Broadcast avoid calling the Nub if there are no threads
+	// to unblock").
 	NoSignalFastPath bool
 	// NubAwait makes the Nub spin lock block on the lock word (an await)
 	// instead of busy-waiting on test-and-set. Acquisition order and

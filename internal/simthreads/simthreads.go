@@ -70,6 +70,8 @@ type World struct {
 	gates  []*gate
 	nGates int
 	nConds int
+	// conds lists every condition variable, for CheckConditions.
+	conds []*Condition
 }
 
 // Kernel is re-exported so callers need only import simthreads for common

@@ -1,6 +1,7 @@
 package simthreads
 
 import (
+	"strings"
 	"testing"
 
 	"threads/internal/sim"
@@ -140,6 +141,15 @@ func TestSimWaitSignal(t *testing.T) {
 	}
 	if observed != 7 {
 		t.Fatalf("waiter observed %d, want 7", observed)
+	}
+	// The finished run ended every commitment; a standing one is reported
+	// naming its condition.
+	if err := w.CheckConditions(); err != nil {
+		t.Fatal(err)
+	}
+	c.committed.Poke(1)
+	if err := w.CheckConditions(); err == nil || !strings.Contains(err.Error(), "condition c1 ") {
+		t.Fatalf("a standing commitment on c1 was reported as %v", err)
 	}
 }
 
@@ -362,6 +372,9 @@ func TestSimAlertedThreadDoesNotAbsorbSignal(t *testing.T) {
 		})
 		if err := k.Run(); err != nil {
 			t.Fatalf("seed %d: %v (signal absorbed by departed thread?)", seed, err)
+		}
+		if err := w.CheckConditions(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
