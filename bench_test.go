@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"threads"
+	"threads/derived"
+	"threads/internal/analysis"
 	"threads/internal/baselines"
 	"threads/internal/bench"
 	"threads/internal/checker"
@@ -493,6 +495,86 @@ func BenchmarkE18_DeadlineExpires(b *testing.B) {
 	}
 }
 
+// ---------------------------------------------------------------------------
+// Ring ping-pong — park and wake through a condition variable.
+// ---------------------------------------------------------------------------
+
+// The benchmark goroutine and a Fork'd thread pass a token through two
+// capacity-1 rings, so each side's Pop finds its ring empty and waits for
+// the other side's Push to Signal it. One op is one round: two Pushes, two
+// Pops. The three variants run the same algorithm on derived.Ring, on
+// sync.Mutex and sync.Cond, and on buffered channels.
+
+func BenchmarkRingPingPong_Threads(b *testing.B) {
+	ping, pong := derived.NewRing[int](1), derived.NewRing[int](1)
+	benchRingPingPong(b, ping.Push, ping.Pop, pong.Push, pong.Pop)
+}
+
+func BenchmarkRingPingPong_SyncCond(b *testing.B) {
+	ping, pong := newCondRing(1), newCondRing(1)
+	benchRingPingPong(b, ping.Push, ping.Pop, pong.Push, pong.Pop)
+}
+
+func BenchmarkRingPingPong_Chan(b *testing.B) {
+	ping, pong := make(chan int, 1), make(chan int, 1)
+	benchRingPingPong(b,
+		func(v int) { ping <- v }, func() int { return <-ping },
+		func(v int) { pong <- v }, func() int { return <-pong })
+}
+
+func benchRingPingPong(b *testing.B, pingPush func(int), pingPop func() int, pongPush func(int), pongPop func() int) {
+	b.ReportAllocs()
+	echo := threads.Fork(func() {
+		for i := 0; i < b.N; i++ {
+			pongPush(pingPop())
+		}
+	})
+	for i := 0; i < b.N; i++ {
+		pingPush(i)
+		pongPop()
+	}
+	threads.Join(echo)
+}
+
+// condRing is derived.Ring's algorithm on sync.Mutex and sync.Cond.
+type condRing struct {
+	mu                sync.Mutex
+	nonEmpty, nonFull sync.Cond
+	buf               []int
+	head, n           int
+}
+
+func newCondRing(capacity int) *condRing {
+	r := &condRing{buf: make([]int, capacity)}
+	r.nonEmpty.L = &r.mu
+	r.nonFull.L = &r.mu
+	return r
+}
+
+func (r *condRing) Push(v int) {
+	r.mu.Lock()
+	for r.n == len(r.buf) {
+		r.nonFull.Wait()
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+	r.mu.Unlock()
+	r.nonEmpty.Signal()
+}
+
+func (r *condRing) Pop() int {
+	r.mu.Lock()
+	for r.n == 0 {
+		r.nonEmpty.Wait()
+	}
+	v := r.buf[r.head]
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	r.mu.Unlock()
+	r.nonFull.Signal()
+	return v
+}
+
 // BenchmarkExperimentTables runs the full quick experiment suite once per
 // iteration — a one-stop regeneration of every table (used with -benchtime
 // 1x in CI and by the committed bench_output.txt).
@@ -515,7 +597,11 @@ func BenchmarkExperimentTables(b *testing.B) {
 // the same quantity.
 func BenchmarkThreadsvetRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pkgs, findings, err := bench.RunThreadsvetRepo()
+		loader, err := analysis.NewLoader(".")
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkgs, findings, err := bench.RunThreadsvetRepo(loader)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -154,7 +154,11 @@ type regressRun struct {
 // curve sets.
 func runRegression(p regressRun) int {
 	fmt.Fprintln(os.Stderr, "threadsbench: collecting regression metrics...")
-	cur := bench.CollectRegressionMetrics(p.quick)
+	cur, err := bench.CollectRegressionMetrics(p.quick)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "threadsbench: %v\n", err)
+		return 1
+	}
 	fmt.Fprintf(os.Stderr, "threadsbench: sweeping cores %v x %d samples (NumCPU=%d)...\n",
 		p.cores, p.samples, runtime.NumCPU())
 	cur.Curves = bench.CollectSweep(p.cores, p.samples, p.quick)

@@ -146,9 +146,9 @@ func runExplore(c *config) int {
 			status = "FAIL"
 			fail++
 		}
-		rate := float64(rep.Runs) / rep.Elapsed.Seconds()
-		fmt.Printf("%-14s %-4s %7d schedules, %9d decisions, %8.0f sched/s, %v\n",
-			lit.Name, status, rep.Runs, rep.Decisions, rate, rep.Elapsed.Round(time.Millisecond))
+		rate := float64(rep.Schedules()) / rep.Elapsed.Seconds()
+		fmt.Printf("%-14s %-4s %7d schedules, %7d runs, %9d decisions, %8.0f sched/s, %v\n",
+			lit.Name, status, rep.Schedules(), rep.Runs, rep.Decisions, rate, rep.Elapsed.Round(time.Millisecond))
 		for _, ks := range rep.PerK {
 			fmt.Printf("    k=%d: %6d schedules, deepest %d decision points, %d pruned, %d cache hits\n",
 				ks.K, ks.Schedules, ks.MaxDepth, ks.Pruned, ks.CacheHits)
@@ -207,12 +207,12 @@ func writeSummary(path string, maxK int, rows []summaryRow, fail int) error {
 	}
 	defer f.Close()
 	fmt.Fprintf(f, "## Schedule exploration (k ≤ %d)\n\n", maxK)
-	fmt.Fprintf(f, "| litmus | status | schedules | decisions | per bound | elapsed | notes |\n")
-	fmt.Fprintf(f, "|---|---|---:|---:|---|---:|---|\n")
-	totalRuns := 0
+	fmt.Fprintf(f, "| litmus | status | schedules | runs | decisions | per bound | elapsed | notes |\n")
+	fmt.Fprintf(f, "|---|---|---:|---:|---:|---|---:|---|\n")
+	total := 0
 	for _, r := range rows {
 		rep := r.rep
-		totalRuns += rep.Runs
+		total += rep.Schedules()
 		status := "ok"
 		if !rep.Ok() || rep.SchedCapHit {
 			status = "**FAIL**"
@@ -237,15 +237,15 @@ func writeSummary(path string, maxK int, rows []summaryRow, fail int) error {
 		if rep.SchedCapHit {
 			notes = append(notes, "partial: schedule cap hit")
 		}
-		fmt.Fprintf(f, "| %s | %s | %d | %d | %s | %s | %s |\n",
-			r.lit.Name, status, rep.Runs, rep.Decisions,
+		fmt.Fprintf(f, "| %s | %s | %d | %d | %d | %s | %s | %s |\n",
+			r.lit.Name, status, rep.Schedules(), rep.Runs, rep.Decisions,
 			strings.Join(perK, ", "), rep.Elapsed.Round(time.Millisecond),
 			strings.Join(notes, "; "))
 	}
 	if fail > 0 {
 		fmt.Fprintf(f, "\n**%d of %d litmus programs failed.**\n\n", fail, len(rows))
 	} else {
-		fmt.Fprintf(f, "\n%d schedules visited; all %d litmus programs ok.\n\n", totalRuns, len(rows))
+		fmt.Fprintf(f, "\n%d schedules visited; all %d litmus programs ok.\n\n", total, len(rows))
 	}
 	return nil
 }

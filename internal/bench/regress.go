@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"time"
 
+	"threads/internal/analysis"
 	"threads/internal/checker"
 	"threads/internal/core"
 	"threads/internal/explore"
@@ -133,8 +134,14 @@ func timeAndAllocs(total int, f func(int)) (nsPerOp, allocsPerOp float64) {
 // CollectRegressionMetrics measures the current build's metrics for the
 // regression baseline. Stable metrics use fixed sizes and seeds regardless
 // of quick so the values stay comparable across collections; quick only
-// shrinks the timed sweeps.
-func CollectRegressionMetrics(quick bool) Baseline {
+// shrinks the timed sweeps. The E20 step vets the module enclosing the
+// working directory, so that module is found first: run outside it, the
+// collection fails before any workload runs.
+func CollectRegressionMetrics(quick bool) (Baseline, error) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		return Baseline{}, err
+	}
 	o := Options{Quick: quick}
 	b := Baseline{
 		Schema: 1,
@@ -155,7 +162,7 @@ func CollectRegressionMetrics(quick bool) Baseline {
 		Procs: 5, Threads: 8, Iters: 100, CSWork: 20, Think: 200, Seed: 508,
 	})
 	if err != nil {
-		panic(err)
+		return Baseline{}, fmt.Errorf("e2: %w", err)
 	}
 	add("e2.sim_fastpath_frac_5p8t", res.FastPathRate(), "higher", true, 0.02)
 
@@ -169,7 +176,7 @@ func CollectRegressionMetrics(quick bool) Baseline {
 		Procs: 5, Producers: 4, Consumers: 4, ItemsPerProducer: 200, Capacity: 8, Work: 200, Seed: 1,
 	})
 	if err != nil {
-		panic(err)
+		return Baseline{}, fmt.Errorf("e6: %w", err)
 	}
 	add("e6.sim_signal_nub_per_wake", float64(pc.Stats.SignalNub)/float64(pc.Stats.SignalWoke), "lower", true, 0.05)
 
@@ -206,12 +213,9 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	expElapsed := time.Since(expStart).Seconds()
 	runtime.ReadMemStats(&expAfter)
 	if expRep.Violation != nil || expRep.Partial {
-		panic(fmt.Sprintf("mutex exploration did not complete cleanly: %+v", expRep))
+		return Baseline{}, fmt.Errorf("e17: mutex exploration did not complete cleanly: %+v", expRep)
 	}
-	sched := 0
-	for _, ks := range expRep.PerK {
-		sched += ks.Schedules
-	}
+	sched := expRep.Schedules()
 	add("e17.explore_sched_per_sec", float64(sched)/expElapsed, "higher", false, 0)
 	add("e17.por_prune_frac", float64(expRep.Pruned)/float64(sched+expRep.Pruned), "higher", true, 0.02)
 	add("e17.explore_allocs_per_sched", float64(expAfter.Mallocs-expBefore.Mallocs)/float64(sched), "lower", true, 0.05)
@@ -226,18 +230,26 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	dlTotal := o.pick(20_000, 100_000)
 	var dm core.Mutex
 	dlFar := time.Now().Add(time.Hour)
+	var dlErr error
 	ns, _ = timeAndAllocs(dlTotal, func(n int) {
 		for i := 0; i < n; i++ {
 			if err := dm.AcquireDeadline(dlFar); err != nil {
-				panic(err)
+				dlErr = err
+				return
 			}
 			dm.Release()
 		}
 	})
+	if dlErr != nil {
+		return Baseline{}, fmt.Errorf("e18: AcquireDeadline: %w", dlErr)
+	}
 	add("e18.acquire_deadline_ns", ns, "lower", false, 0)
 	ns, allocs = timeAndAllocs(20_000, func(n int) {
 		runPingPong(n, func(s *core.Semaphore) {
 			if err := s.AlertPDeadline(dlFar); err != nil {
+				// Nothing alerts these threads and the deadline is an hour
+				// away, so only a bug gets here; returning would leave the
+				// other thread waiting forever.
 				panic(err)
 			}
 		})
@@ -261,11 +273,11 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	// with-inheritance p99 blows up by the medium band's burst length.
 	piOff, err := workload.SimPriorityTail(workload.DefaultPriorityConfig(false))
 	if err != nil {
-		panic(err)
+		return Baseline{}, fmt.Errorf("e19: %w", err)
 	}
 	piOn, err := workload.SimPriorityTail(workload.DefaultPriorityConfig(true))
 	if err != nil {
-		panic(err)
+		return Baseline{}, fmt.Errorf("e19: %w", err)
 	}
 	add("e19.hi_p99_instr_pi_on", float64(piOn.P99), "lower", true, 0)
 	add("e19.hi_p999_instr_pi_on", float64(piOn.P999), "lower", true, 0)
@@ -281,16 +293,16 @@ func CollectRegressionMetrics(quick bool) Baseline {
 	// per-commit CI path as the analysis and the repo both grow. A clean
 	// repo is a precondition for collecting a baseline at all.
 	vetStart := time.Now()
-	vetPkgs, vetFindings, err := RunThreadsvetRepo()
+	vetPkgs, vetFindings, err := RunThreadsvetRepo(loader)
 	if err != nil {
-		panic(err)
+		return Baseline{}, fmt.Errorf("e20: %w", err)
 	}
 	if vetFindings != 0 {
-		panic(fmt.Sprintf("threadsvet reported %d findings over %d packages during baseline collection; fix or justify them first", vetFindings, vetPkgs))
+		return Baseline{}, fmt.Errorf("e20: threadsvet reported %d findings over %d packages during baseline collection; fix or justify them first", vetFindings, vetPkgs)
 	}
 	add("e20.vet_ms", time.Since(vetStart).Seconds()*1e3, "lower", false, 0)
 
-	return b
+	return b, nil
 }
 
 // runPingPong forces total real parks: two Fork'd threads alternate

@@ -143,10 +143,33 @@ func TestCommittedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := CollectRegressionMetrics(true)
+	cur, err := CollectRegressionMetrics(true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if regs := Compare(base, cur, 0.10, false); len(regs) != 0 {
 		for _, r := range regs {
 			t.Errorf("regression: %s", r)
 		}
+	}
+}
+
+// TestCollectOutsideModule runs the collector from a directory with no
+// go.mod above it: it must return an error, not panic.
+func TestCollectOutsideModule(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, err := CollectRegressionMetrics(true); err == nil {
+		t.Fatal("CollectRegressionMetrics succeeded outside the module, want an error")
 	}
 }

@@ -46,8 +46,8 @@ type Condition struct {
 	nub spinlock.Lock
 	ec  eventcount.Count
 	// q orders waiters by effective priority, FIFO within a band, so
-	// Signal wakes (or morphs) the most urgent waiter first; with no
-	// nonzero priorities in the process the order is exactly FIFO.
+	// Signal wakes the most urgent waiter first; with no nonzero
+	// priorities in the process the order is exactly FIFO.
 	q queue.PriorityQueue[*waiter]
 	// committed counts the threads in the specification's c: those on q,
 	// plus those between Enqueue and Block's test of the eventcount. The
@@ -58,10 +58,10 @@ type Condition struct {
 	// re-check — no wakeup is lost in the window (the "wakeup-waiting
 	// race", experiment E4). Whoever takes the waiter out of c decrements
 	// it, exactly once: Signal and Broadcast for each node they pop, under
-	// the Nub lock; the waiter itself when it never queued (an elided or
-	// spun-out Block, a pending alert) or when its alerted Remove finds it
-	// still queued. A woken thread on its way back to the mutex is not in
-	// c, so it no longer sends later Signals into the Nub.
+	// the Nub lock; the waiter itself when it never queued (an elided
+	// Block, a pending alert) or when its alerted Remove finds it still
+	// queued. A woken thread on its way back to the mutex is not in c, so
+	// it no longer sends later Signals into the Nub.
 	committed atomic.Int32
 	traceID   atomic.Uint64 // conformance-trace identity, assigned lazily
 }
@@ -102,65 +102,20 @@ func (c *Condition) Wait(m *Mutex) {
 	if mode&instrCheck != 0 {
 		m.requireHolder(Self(), "Wait")
 	}
+	c.committed.Add(1)
 	if mode&instrTrace != 0 {
 		t := Self()
-		c.committed.Add(1)
-		i, mObj, cObj := c.enqueueTraced(m, t)
-		reason, hseq := c.block(i, nil, &m.g)
-		if reason == reasonHandoff && hseq != handoffDemoted {
-			// A Release handed this (morphed) waiter the mutex directly;
-			// hseq is the stamp its second CAS certified for our
-			// resumption, so the Resume event is emitted here and the
-			// reacquisition is already done. (A demoted hand-off arrives
-			// with hseq handoffDemoted and reacquires below like a plain
-			// wake.)
-			traceEmit(hseq, TraceResume, t.id, mObj, cObj, false)
-			m.entered(instr.Load(), t)
-			return
-		}
+		i, _, cObj := c.enqueueTraced(m, t)
+		c.block(i, nil)
 		// The Resume action (WHEN m = NIL & NOT SELF IN c, ENSURES
 		// m' = SELF) is stamped at the reacquiring CAS.
 		m.acquireResume(t, traceCtx{kind: TraceResume, tid: t.id, obj2: cObj})
 		return
 	}
-	c.committed.Add(1)
 	i := c.ec.Read()
 	m.Release() //threadsvet:ignore lockpair: Wait itself: the specification releases the caller-held mutex, blocks, reacquires (paper, Wait(m, c))
-	reason, _ := c.block(i, nil, &m.g)
-	if reason == reasonHandoff {
-		// Untraced hand-off: the mutex bit never cleared; we hold it.
-		mode = instr.Load()
-		m.entered(mode, m.self(mode, true))
-		return
-	}
+	c.block(i, nil)
 	m.Acquire() //threadsvet:ignore lockpair: Wait itself: reacquire on resumption; the caller holds m across Wait
-}
-
-// spinBlock is Block's analogue of the gate's adaptive spin: before paying
-// for the Nub lock and a park/wake round-trip, briefly poll the eventcount
-// for the Signal or Broadcast that short critical sections deliver within
-// a few hundred nanoseconds. Returns true if the count advanced — the same
-// condition Block checks under the lock — so the wait is elided without
-// ever touching the queue. Skipped whenever another thread is committed to
-// the Wait protocol (the lock-free count of c, queued or about to be): an
-// eventcount advance would resume that thread too, so spinning past it
-// cannot starve anyone, but it would make the spinner steal wakeups the
-// queued thread was closer to; lone-waiter spinning mirrors sync.Mutex's
-// empty-queue policy. Woken threads have left c and do not stop the spin.
-func (c *Condition) spinBlock(i uint64) bool {
-	if !canSpin() {
-		return false
-	}
-	for r := 0; r < acquireSpinRounds; r++ {
-		if c.committed.Load() > 1 { // the caller itself is committed
-			return false
-		}
-		spinlock.Pause(spinPauseIters)
-		if c.ec.AdvancedSince(i) {
-			return true
-		}
-	}
-	return false
 }
 
 // block is the Nub's Block(c, i) subroutine plus the descheduling: under
@@ -172,26 +127,10 @@ func (c *Condition) spinBlock(i uint64) bool {
 // Broadcast that popped the caller has ended it.
 //
 // For alertable waits, t carries the thread so Alert can claim the wait;
-// block returns the wake reason (reasonWake for signal/broadcast or elided
-// waits, reasonAlert when Alert won, reasonHandoff when a Release handed
-// the morphed waiter the mutex directly — hseq is then the certified
-// resume stamp, 0 for an untraced hand-off, or handoffDemoted).
-//
-// For plain waits, mg names the mutex gate Signal may morph this waiter
-// onto (wait morphing); alertable waits pass nil — a morphed waiter parks
-// on the mutex queue where Alert's claim could not honor the corrected
-// c' = delete(c, SELF) semantics without chasing the node across queues.
-func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
-	if t == nil && c.spinBlock(i) {
-		// The eventcount advanced while spinning: the wait is elided
-		// before the waiter is even prepared. Alertable waits skip the
-		// spin — they must register for Alert before any waiting, else
-		// a pending alert would sit undelivered for the spin's
-		// duration.
-		c.committed.Add(-1)
-		statInc(statWaitSpin)
-		return reasonWake, 0
-	}
+// block returns the wake reason: reasonWake for signal/broadcast or elided
+// waits, reasonAlert when Alert won. Plain waits pass nil and always get
+// reasonWake.
+func (c *Condition) block(i uint64, t *Thread) uint64 {
 	w := getWaiter(t)
 	w.capturePri(t)
 	if t != nil {
@@ -202,12 +141,9 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 			t.clearAlertWaiter()
 			c.committed.Add(-1)
 			w.endEpisode()
-			return reasonAlert, 0
+			return reasonAlert
 		}
-	} else if mg != nil && CurrentHandoffMode() != HandoffOff {
-		w.morphGate = mg
 	}
-	w.parkStart = handoffNanos()
 	c.nub.Lock()
 	if c.ec.AdvancedSince(i) {
 		c.committed.Add(-1)
@@ -222,16 +158,16 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 				// consume it before the waiter can be reused.
 				w.drain()
 				w.endEpisode()
-				return reasonAlert, 0
+				return reasonAlert
 			}
 		}
 		w.endEpisode()
-		return reasonWake, 0
+		return reasonWake
 	}
 	c.q.Push(&w.item)
 	c.nub.Unlock()
 	statInc(statWaitPark)
-	reason = w.park()
+	reason := w.park()
 	if t != nil {
 		t.clearAlertWaiter()
 	}
@@ -247,9 +183,8 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 		}
 		c.nub.Unlock()
 	}
-	hseq = w.handoffSeq
 	w.endEpisode()
-	return reason, hseq
+	return reason
 }
 
 // Signal unblocks at least one thread waiting on c, if any thread is; it
@@ -282,13 +217,10 @@ func (c *Condition) Signal() {
 		if n == nil {
 			break
 		}
-		// The popped waiter has left c, whether it is woken, morphed or
-		// already claimed by Alert: its commitment ends here.
+		// The popped waiter has left c, whether it is woken or already
+		// claimed by Alert: its commitment ends here.
 		c.committed.Add(-1)
 		w := n.Value
-		if mg := w.morphGate; mg != nil && c.morph(w, mg) {
-			return
-		}
 		// Claim under the Nub lock: a popped waiter's episode cannot end
 		// (its alerted path must reacquire this lock to leave c) before
 		// the claim resolves, so the claim addresses the right episode.
@@ -303,52 +235,6 @@ func (c *Condition) Signal() {
 		statInc(statSignalRepop)
 	}
 	c.nub.Unlock()
-}
-
-// morph is Signal's wait morphing: instead of waking the popped waiter —
-// which would run only to block again on the mutex — move its node
-// straight onto the mutex gate's queue and let the eventual Release wake
-// it (or hand it the mutex directly). One park/wake round trip per
-// signaled waiter disappears, and the thundering re-acquisition herd after
-// a burst of Signals with it.
-//
-// Called with c.nub held, and returns with it released when the morph
-// succeeds (true). The nesting c.nub → mg.nub is one of the package's
-// spin-lock nestings (the other is a gate's nub → a thread's donLock,
-// gate.piDonate) and nothing acquires in the other order; composed, the
-// deepest chain is c.nub → mg.nub → donLock, still cycle-free.
-//
-// The spec face is untouched: like a woken waiter, a morphed one left c at
-// the Signal stamped above, which satisfies the thin-air check and has
-// ended its commitment; its Resume event is emitted at the reacquiring
-// CAS (or with the hand-off's certified stamp) as for any woken waiter.
-// Only plain Waits morph (block sets morphGate only when t == nil), so the
-// waiter on the mutex queue is unclaimed and cannot be raced by Alert; the
-// gate pops it like any Acquire waiter.
-func (c *Condition) morph(w *waiter, mg *gate) bool {
-	mg.nub.Lock()
-	mg.q.Push(&w.item)
-	mg.qlen.Add(1)
-	if !mg.locked() {
-		// The mutex is free: no future Release is obliged to pop the
-		// queue, and a parked waiter nobody wakes is a deadlock. Back
-		// out and wake it the ordinary way. (If a releaser cleared the
-		// bit after our push, its qlen check — a sequentially consistent
-		// load after its clearing store — sees our increment and enters
-		// releaseNub, so the node is never stranded in the window.)
-		mg.q.Remove(&w.item)
-		mg.qlen.Add(-1)
-		mg.nub.Unlock()
-		return false
-	}
-	// The morphed waiter is now an Acquire waiter in every respect,
-	// including priority inheritance: donate its priority to the holder
-	// whose Release it awaits.
-	mg.piDonate(w)
-	mg.nub.Unlock()
-	c.nub.Unlock()
-	statInc(statSignalMorph)
-	return true
 }
 
 // Broadcast unblocks all threads waiting on c. Broadcast is necessary (for
@@ -426,8 +312,7 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 	c.committed.Add(1)
 	if mode&instrTrace != 0 {
 		i, mObj, cObj := c.enqueueTraced(m, t)
-		reason, _ := c.block(i, t, nil)
-		if reason == reasonAlert {
+		if c.block(i, t) == reasonAlert {
 			// AlertResume's RAISES case is stamped in the alerts domain
 			// (under t's alertLock, where the alerts-set deletion is
 			// serialized), not at the mutex CAS, so the reacquisition
@@ -447,7 +332,7 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 	}
 	i := c.ec.Read()
 	m.Release() //threadsvet:ignore lockpair: AlertWait itself: releases the caller-held mutex before blocking (paper, AlertWait(m, c))
-	reason, _ := c.block(i, t, nil)
+	reason := c.block(i, t)
 	m.Acquire() //threadsvet:ignore lockpair: AlertWait itself: reacquire on resumption; the caller holds m across AlertWait
 	if reason == reasonAlert {
 		t.alerted.Store(false)

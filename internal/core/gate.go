@@ -489,9 +489,8 @@ func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted 
 // piHolder and donate while holding it, and the releaser clears piHolder
 // under it before undonating, so no donation can land on a thread that has
 // already left the gate — a boost can therefore never outlive the hold it
-// compensates for. The nesting nub → donLock is one of the package's two
-// spin-lock nestings (the other is Signal's c.nub → mg.nub); donLock
-// acquires nothing, so no cycle is possible.
+// compensates for. The nesting nub → donLock is the package's only
+// spin-lock nesting; donLock acquires nothing, so no cycle is possible.
 //
 // The boost itself is a scheduling heuristic on this backend: the Go
 // scheduler does not expose thread priorities, so inheritance acts through

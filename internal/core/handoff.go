@@ -25,7 +25,7 @@ import (
 // allowed until the queue's head has waited handoffStarveNs, then releases
 // hand off directly until the backlog drains.
 
-// HandoffMode selects the Release/V/Signal hand-off policy.
+// HandoffMode selects the Release/V hand-off policy.
 type HandoffMode int32
 
 const (
@@ -46,10 +46,10 @@ const (
 // HandoffAdaptive.
 var handoffMode atomic.Int32
 
-// SetHandoffMode selects the hand-off policy for every Mutex, Semaphore
-// and Condition in the process and returns the previous one. The policy is
-// consulted per release, so it may be changed at any time; conformance
-// tracing transitions still require quiescence for their own reasons.
+// SetHandoffMode selects the hand-off policy for every Mutex and Semaphore
+// in the process and returns the previous one. The policy is consulted per
+// release, so it may be changed at any time; conformance tracing
+// transitions still require quiescence for their own reasons.
 func SetHandoffMode(m HandoffMode) HandoffMode {
 	return HandoffMode(handoffMode.Swap(int32(m)))
 }

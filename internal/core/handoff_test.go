@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -38,7 +37,6 @@ func statsDelta(t *testing.T, fn func()) Stats {
 		AcquirePark:    after.AcquirePark - before.AcquirePark,
 		PPark:          after.PPark - before.PPark,
 		SignalWoke:     after.SignalWoke - before.SignalWoke,
-		SignalMorph:    after.SignalMorph - before.SignalMorph,
 	}
 }
 
@@ -265,10 +263,11 @@ func TestHandoffAlertBeatsTransfer(t *testing.T) {
 	}
 }
 
-// TestSignalMorph pins wait morphing: with the signaller holding the mutex,
-// Signal moves the waiter onto the mutex queue instead of waking it, and
-// only the subsequent Release lets it run.
-func TestSignalMorph(t *testing.T) {
+// TestSignalWakesUnderHeldMutex pins Signal's single outcome: with the
+// signaller holding the mutex and every Release handing off, Signal still
+// wakes the waiter it pops. The woken waiter parks on the held mutex, and
+// the Release hands the mutex to it.
+func TestSignalWakesUnderHeldMutex(t *testing.T) {
 	withHandoffMode(t, HandoffAlways)
 	var (
 		m     Mutex
@@ -285,69 +284,20 @@ func TestSignalMorph(t *testing.T) {
 		}
 		m.Release()
 	}()
-	for c.Waiters() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	var morphed int
+	waitForWaiters(t, c.Waiters, 1)
 	s := statsDelta(t, func() {
 		m.Acquire()
 		ready = true
 		c.Signal()
-		// The morphed waiter is now queued on m, not runnable: it must not
-		// have been woken, and the mutex queue must show it.
-		morphed = m.Waiters()
+		waitForWaiters(t, m.Waiters, 1)
 		m.Release()
-		<-done
+		waitDone(t, done, "the woken waiter to resume after the Release")
 	})
-	if s.SignalMorph != 1 {
-		t.Fatalf("SignalMorph = %d, want 1 (woke=%d)", s.SignalMorph, s.SignalWoke)
-	}
-	if s.SignalWoke != 0 {
-		t.Fatalf("SignalWoke = %d alongside a morph, want 0", s.SignalWoke)
-	}
-	if morphed != 1 {
-		t.Fatalf("mutex queue length after morphing Signal = %d, want 1", morphed)
-	}
-}
-
-// TestSignalMorphBacksOutWhenMutexFree pins the stranded-waiter guard: a
-// Signal issued without holding the mutex must not park the waiter on a
-// queue no Release is obliged to service — the morph backs out and the
-// waiter is woken the ordinary way.
-func TestSignalMorphBacksOutWhenMutexFree(t *testing.T) {
-	withHandoffMode(t, HandoffAlways)
-	var (
-		m     Mutex
-		c     Condition
-		ready atomic.Bool
-	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer Detach()
-		m.Acquire()
-		for !ready.Load() {
-			c.Wait(&m)
-		}
-		m.Release()
-	}()
-	for c.Waiters() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	ready.Store(true)
-	s := statsDelta(t, func() {
-		c.Signal() // mutex free: no holder to morph behind
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("waiter never resumed: morph stranded it on a free mutex's queue")
-		}
-	})
-	if s.SignalMorph != 0 {
-		t.Fatalf("SignalMorph = %d with the mutex free, want 0", s.SignalMorph)
-	}
 	if s.SignalWoke != 1 {
 		t.Fatalf("SignalWoke = %d, want 1", s.SignalWoke)
+	}
+	if s.ReleaseHandoff != 1 {
+		t.Fatalf("ReleaseHandoff = %d, want 1: the woken waiter did not park on the held mutex", s.ReleaseHandoff)
 	}
 }
 

@@ -61,9 +61,6 @@ func TestMutexWakeupPriorityOrder(t *testing.T) {
 // priorities on one condition and checks each Signal wakes the most urgent
 // one remaining.
 func TestConditionSignalPriorityOrder(t *testing.T) {
-	prev := SetHandoffMode(HandoffOff) // no morphing: observe Signal's own pick
-	defer SetHandoffMode(prev)
-
 	var m Mutex
 	var c Condition
 	tickets := 0 // threads allowed to leave; guarded by m

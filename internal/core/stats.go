@@ -31,13 +31,13 @@ type Stats struct {
 	VHandoff uint64 // V handed the semaphore directly to a waiter
 
 	WaitCount   uint64 // Wait calls
-	WaitSpin    uint64 // Block satisfied during the bounded active spin
+	WaitSpin    uint64 // always 0: Block does not spin (kept for the public Stats layout)
 	WaitElided  uint64 // Block returned without descheduling (eventcount advanced)
 	WaitPark    uint64 // Block descheduled the caller
 	SignalFast  uint64 // Signal with no committed waiters: no Nub call
 	SignalNub   uint64 // Signal entered the Nub
 	SignalWoke  uint64 // Signal dequeued and woke a thread
-	SignalMorph uint64 // Signal morphed a waiter onto the mutex queue instead of waking it
+	SignalMorph uint64 // always 0: Signal wakes every waiter it pops (kept for the public Stats layout)
 	SignalRepop uint64 // Signal re-popped after losing a claim race to Alert
 	BcastFast   uint64 // Broadcast with no committed waiters
 	BcastNub    uint64 // Broadcast entered the Nub
@@ -82,13 +82,11 @@ const (
 	statVNub           = statID(unsafe.Offsetof(Stats{}.VNub) / 8)
 	statVHandoff       = statID(unsafe.Offsetof(Stats{}.VHandoff) / 8)
 	statWaitCount      = statID(unsafe.Offsetof(Stats{}.WaitCount) / 8)
-	statWaitSpin       = statID(unsafe.Offsetof(Stats{}.WaitSpin) / 8)
 	statWaitElided     = statID(unsafe.Offsetof(Stats{}.WaitElided) / 8)
 	statWaitPark       = statID(unsafe.Offsetof(Stats{}.WaitPark) / 8)
 	statSignalFast     = statID(unsafe.Offsetof(Stats{}.SignalFast) / 8)
 	statSignalNub      = statID(unsafe.Offsetof(Stats{}.SignalNub) / 8)
 	statSignalWoke     = statID(unsafe.Offsetof(Stats{}.SignalWoke) / 8)
-	statSignalMorph    = statID(unsafe.Offsetof(Stats{}.SignalMorph) / 8)
 	statSignalRepop    = statID(unsafe.Offsetof(Stats{}.SignalRepop) / 8)
 	statBcastFast      = statID(unsafe.Offsetof(Stats{}.BcastFast) / 8)
 	statBcastNub       = statID(unsafe.Offsetof(Stats{}.BcastNub) / 8)

@@ -258,10 +258,10 @@ func TestStressManyMutexes(t *testing.T) {
 }
 
 // TestStressCommitmentsQuiesce mixes every way of leaving a condition
-// variable — Signal, Broadcast, Alert, a deadline, an elided or spun-out
-// Block — across two conditions, and checks that once every thread is
-// joined each condition is empty and holds no commitment: whoever took a
-// waiter out of c ended its commitment exactly once.
+// variable — Signal, Broadcast, Alert, a deadline, an elided Block —
+// across two conditions, and checks that once every thread is joined each
+// condition is empty and holds no commitment: whoever took a waiter out of
+// c ended its commitment exactly once.
 func TestStressCommitmentsQuiesce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const workers = 8

@@ -91,11 +91,6 @@ type waiter struct {
 	// wake, read by the recipient after park: ordered by the parking
 	// channel.
 	handoffSeq uint64
-	// morphGate, non-nil on a condition-queue waiter, names the mutex
-	// gate Signal may morph this waiter onto instead of waking it (wait
-	// morphing; see Condition.Signal). Set before the push onto the
-	// condition queue, read under the condition's Nub lock.
-	morphGate *gate
 }
 
 func newWaiter() *waiter {
@@ -124,7 +119,6 @@ func getWaiter(t *Thread) *waiter {
 	w.begin()
 	w.parkStart = 0
 	w.handoffSeq = 0
-	w.morphGate = nil
 	w.owner = t
 	w.item.Priority = 0
 	return w

@@ -132,14 +132,18 @@ func assertCertificateReproduces(t *testing.T, lit *checker.Litmus, rep *Report)
 // coverage table is identical for every worker count — the parallel
 // frontier partitions the space, it does not re-slice it.
 func TestWorkerDeterminism(t *testing.T) {
-	for _, name := range []string{"mutex", "sem", "alert"} {
+	for _, c := range []struct {
+		name string
+		maxK int
+	}{{"mutex", 2}, {"sem", 2}, {"alert", 2}, {"future", 1}} {
+		name := c.name
 		lit := checker.LitmusByName(name)
 		if lit == nil {
 			t.Fatalf("litmus %s missing", name)
 		}
 		for _, por := range []PORMode{POROff, PORSleepSets} {
-			serial := Explore(lit, Options{MaxPreemptions: 2, Budget: testBudget, POR: por, Workers: 1})
-			parallel := Explore(lit, Options{MaxPreemptions: 2, Budget: testBudget, POR: por, Workers: 4})
+			serial := Explore(lit, Options{MaxPreemptions: c.maxK, Budget: testBudget, POR: por, Workers: 1})
+			parallel := Explore(lit, Options{MaxPreemptions: c.maxK, Budget: testBudget, POR: por, Workers: 4})
 			if serial.Partial || parallel.Partial {
 				t.Fatalf("%s por=%d: partial exploration", name, por)
 			}

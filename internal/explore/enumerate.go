@@ -64,6 +64,17 @@ type Report struct {
 	Elapsed         time.Duration
 }
 
+// Schedules returns the number of schedules explored, the sum of PerK.
+// Unlike Runs it leaves out the parallel frontier's probe runs, so it does
+// not depend on the worker count.
+func (r *Report) Schedules() int {
+	n := 0
+	for _, ks := range r.PerK {
+		n += ks.Schedules
+	}
+	return n
+}
+
 // Ok reports whether the exploration's verdict matches the litmus's
 // expectation: clean programs must have no violation, intentionally broken
 // ones must have one (a broken litmus explored cleanly means the checker

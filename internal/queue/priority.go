@@ -173,9 +173,8 @@ func (pq *PriorityQueue[T]) down(i int) {
 }
 
 // Drain calls fn on each item in (priority desc, FIFO) order while
-// removing it. fn may push the item onto another
-// queue (wait morphing moves drained condition waiters onto a mutex gate
-// queue); it must not touch this queue.
+// removing it. fn may push the item onto another queue; it must not touch
+// this queue.
 func (pq *PriorityQueue[T]) Drain(fn func(*PItem[T])) {
 	for it := pq.Pop(); it != nil; it = pq.Pop() {
 		fn(it)

@@ -231,8 +231,7 @@ func TestPriorityNoStarvationOnceBandsDrain(t *testing.T) {
 }
 
 // TestPriorityDrain checks Drain pops in priority-then-FIFO order, empties
-// the queue, and tolerates fn pushing items onto another queue (the wait-
-// morphing pattern).
+// the queue, and tolerates fn pushing items onto another queue.
 func TestPriorityDrain(t *testing.T) {
 	src := NewPriorityQueue[int]()
 	dst := NewPriorityQueue[int]()

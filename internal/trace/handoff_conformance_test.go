@@ -12,7 +12,7 @@ import (
 
 // Runtime conformance for direct hand-off (the fairness fix layered on the
 // paper's wake-and-retry Release): under HandoffAlways every contended
-// Release, V and Signal takes the transfer path, and the recorded stream —
+// Release and V takes the transfer path, and the recorded stream —
 // the releaser's event stamped at its first CAS, the recipient's at the
 // second — must replay through the full specification state machine
 // exactly like the unmodified protocol. A hand-off whose stamps did not
@@ -42,11 +42,11 @@ func TestRuntimeConformanceHandoffMutexContention(t *testing.T) {
 }
 
 // TestRuntimeConformanceHandoffProducerConsumer is the Wait/Signal-heavy
-// case: signallers hold the mutex, so Signals morph waiters onto the mutex
-// queue and Releases hand the mutex to them directly — the morphed
-// waiter's Resume is emitted with the hand-off's certified stamp, which
-// the checker's thin-air rule (some Signal after this thread's Enqueue)
-// validates against the Signal stamped before the morph.
+// case: signallers hold the mutex, so a woken consumer parks on the held
+// mutex and the Release hands the mutex to it directly. Its Resume
+// carries the hand-off's certified stamp, which the checker's thin-air
+// rule (some Signal after this thread's Enqueue) validates against the
+// Signal that woke it.
 func TestRuntimeConformanceHandoffProducerConsumer(t *testing.T) {
 	withHandoffAlways(t)
 	withRuntimeTracing(t, 1<<16, func() {
@@ -89,8 +89,7 @@ func TestRuntimeConformanceHandoffAlertStorm(t *testing.T) {
 }
 
 // TestRuntimeConformanceHandoffReadersWriters adds Broadcast traffic,
-// which never morphs or hands off per se but interleaves with Releases
-// that do.
+// which never hands off per se but interleaves with Releases that do.
 func TestRuntimeConformanceHandoffReadersWriters(t *testing.T) {
 	withHandoffAlways(t)
 	withRuntimeTracing(t, 1<<16, func() {
