@@ -1,6 +1,6 @@
 # Development targets. `make tier1` is the gate every change must pass:
-# build, vet, the root, core, spin-lock and derived packages under the race
-# detector, and the full suite.
+# build, vet, the root, core, spin-lock, derived and simulator packages
+# under the race detector, and the full suite.
 
 GO ?= go
 
@@ -26,7 +26,7 @@ threadsvet:
 	$(GO) run ./cmd/threadsvet $(THREADSVET_FLAGS) ./...
 
 race:
-	$(GO) test -race . ./internal/core/... ./internal/spinlock/... ./derived/...
+	$(GO) test -race . ./internal/core/... ./internal/spinlock/... ./derived/... ./internal/sim/...
 
 test:
 	$(GO) test ./...

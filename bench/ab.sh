@@ -14,10 +14,19 @@
 # alternates ABBA (base-head, head-base, base-head, ...), so drift over the
 # session falls on both sides alike. Every run's JSON result line is
 # appended to the .jsonl file, wrapped with its side, pair and revision.
-# The summary starts with a host line (CPU model, nproc, go version); then,
-# per end-to-end metric of BENCHMARK.json, it prints both medians, both
-# min-max ranges, the ratio head/base of the medians, and in how many pairs
-# head beat base.
+# The summary starts with a host line (CPU model, nproc, go version) and a
+# layout line; then, per end-to-end metric of BENCHMARK.json, it prints
+# both medians, both min-max ranges and both interquartile ranges, the
+# ratio head/base of the medians, in how many pairs head beat base, and a
+# verdict: "gain" when head beat base in at least 9 pairs of 10 and the
+# medians are further apart than base's interquartile range, "-"
+# otherwise.
+#
+# The layout line compares the two sides' binaries after the first pair
+# (`go tool nm -n`): how many functions of threads/internal/core and
+# threads/derived changed their offset within a 64-byte cache line. Code
+# layout alone can move a microbenchmark by a few ns and a tail latency by
+# a quarter, so a result that comes with such moves needs a second look.
 #
 # A WORKLOAD of the form gotest:PKG:REGEXP runs `go test -bench REGEXP
 # -cpu 1,2` in the package directory PKG (relative to the repository root,
@@ -138,6 +147,28 @@ print(json.dumps({"session": session, "pair": int(pair), "side": side, "rev": re
     echo "ab: pair $pair $side done" >&2
 }
 
+layout_check() { # base-binary head-binary
+    go tool nm -n "$1" >"$abdir/base.nm" && go tool nm -n "$2" >"$abdir/head.nm" &&
+        python3 - "$abdir/base.nm" "$abdir/head.nm" <<'EOF'
+import sys
+
+def funcs(path):
+    out = {}
+    for line in open(path):
+        f = line.split(None, 2)
+        if len(f) == 3 and f[1] in "Tt" and f[2].startswith(("threads/internal/core.", "threads/derived.")):
+            out[f[2].strip()] = int(f[0], 16)
+    return out
+
+base, head = map(funcs, sys.argv[1:3])
+common = base.keys() & head.keys()
+moved = sum(base[n] % 64 != head[n] % 64 for n in common)
+print(f"layout: {moved} of {len(common)} threads/internal/core. and threads/derived. functions "
+      f"changed their offset within a 64-byte line")
+EOF
+}
+
+layout=
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then
         run_side base "$wt" "$i"
@@ -146,9 +177,19 @@ for ((i = 1; i <= pairs; i++)); do
         run_side head "$root" "$i"
         run_side base "$wt" "$i"
     fi
+    if ((i == 1)); then
+        if [ -n "$pkg" ]; then
+            layout=$(layout_check "$abdir/base.test" "$abdir/head.test") || layout="layout: go tool nm failed"
+        else
+            layout=$(layout_check "$wt/.bench_build/perfbench" "$root/.bench_build/perfbench") ||
+                layout="layout: go tool nm failed"
+        fi
+        echo "$layout" >&2
+    fi
 done
 
 echo "$host"
+echo "$layout"
 python3 - "$out" "$session" "$([ -n "$pkg" ] || echo "$root/BENCHMARK.json")" <<'EOF'
 import json, statistics, sys
 
@@ -169,9 +210,19 @@ if bench:  # perfbench: the end-to-end metrics of BENCHMARK.json
 else:  # gotest: ns/op of every benchmark at every core count
     metrics = [(name, False) for name in dict.fromkeys(
         name for p in pairs for s in ("base", "head") for name in runs[p][s]["metrics"])]
+
+
+def quartiles(v):
+    if len(v) < 2:
+        return v[0], v[0]
+    q = statistics.quantiles(v, n=4, method="inclusive")
+    return q[0], q[2]
+
+
 w = max([18] + [len(name) for name, _ in metrics])
-print(f"{'metric':<{w}} {'base median':>11} {'base min-max':>21} {'head median':>11} "
-      f"{'head min-max':>21} {'head/base':>9} {'head wins':>9}")
+print(f"{'metric':<{w}} {'base median':>11} {'base min-max':>21} {'base q1-q3':>21} "
+      f"{'head median':>11} {'head min-max':>21} {'head q1-q3':>21} {'head/base':>9} "
+      f"{'head wins':>9} {'verdict':>7}")
 for name, higher in metrics:
     if not all(name in runs[p][s]["metrics"] for p in pairs for s in ("base", "head")):
         continue
@@ -179,9 +230,15 @@ for name, higher in metrics:
     if not any(v["base"]) and not any(v["head"]):
         continue
     med = {s: statistics.median(v[s]) for s in v}
+    quart = {s: quartiles(v[s]) for s in v}
     wins = sum((h > b) if higher else (h < b) for b, h in zip(v["base"], v["head"]))
     ratio = med["head"] / med["base"] if med["base"] else float("nan")
     span = {s: f"{min(v[s]):.4g}-{max(v[s]):.4g}" for s in v}
-    print(f"{name:<{w}} {med['base']:>11.4g} {span['base']:>21} {med['head']:>11.4g} "
-          f"{span['head']:>21} {ratio:>9.3f} {wins:>7}/{n}")
+    iqr = {s: f"{quart[s][0]:.4g}-{quart[s][1]:.4g}" for s in v}
+    apart = abs(med["head"] - med["base"]) > quart["base"][1] - quart["base"][0]
+    ahead = (med["head"] > med["base"]) == higher
+    verdict = "gain" if apart and ahead and wins >= 0.9 * n else "-"
+    print(f"{name:<{w}} {med['base']:>11.4g} {span['base']:>21} {iqr['base']:>21} "
+          f"{med['head']:>11.4g} {span['head']:>21} {iqr['head']:>21} {ratio:>9.3f} "
+          f"{wins:>7}/{n} {verdict:>7}")
 EOF

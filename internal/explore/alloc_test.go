@@ -39,7 +39,7 @@ func recordedDecisions(t testing.TB, name string) []Decision {
 	}
 	var rec recorder
 	rec.reset(nil)
-	res := runProgram(lit, &rec)
+	res := runProgram(lit, &rec, nil)
 	if len(res.Decisions) == 0 {
 		t.Fatal("run recorded no decisions")
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"threads/internal/checker"
+	"threads/internal/sim"
 	"threads/internal/trace"
 )
 
@@ -81,12 +82,14 @@ func IsCertificate(data []byte) bool {
 }
 
 // Replay runs the certificate's schedule on its litmus program.
-func Replay(lit *checker.Litmus, c *Certificate) RunResult {
+func Replay(lit *checker.Litmus, c *Certificate) RunResult { return replay(lit, c, nil) }
+
+func replay(lit *checker.Litmus, c *Certificate, carriers *sim.Carriers) RunResult {
 	ov := make(map[int]string, len(c.Choices))
 	for _, ch := range c.Choices {
 		ov[ch.Step] = ch.Thread
 	}
-	return runProgram(lit, &recorder{overrides: ov})
+	return runProgram(lit, &recorder{overrides: ov}, carriers)
 }
 
 // ReplayTraceBytes replays the certificate and serializes the resulting
@@ -107,10 +110,12 @@ func ReplayTraceBytes(lit *checker.Litmus, c *Certificate) ([]byte, RunResult, e
 // result replays to the recorded failure with as few forced decisions as
 // the greedy search finds (not necessarily the global minimum).
 func Minimize(lit *checker.Litmus, c *Certificate) *Certificate {
+	var carriers sim.Carriers
+	defer carriers.Close()
 	reproduces := func(choices []Choice) (*Violation, bool) {
 		t := *c
 		t.Choices = choices
-		res := Replay(lit, &t)
+		res := replay(lit, &t, &carriers)
 		return res.Violation, res.Violation != nil && res.Violation.Kind == c.Violation
 	}
 	if c.Violation == "" {

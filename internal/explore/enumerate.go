@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"threads/internal/checker"
+	"threads/internal/sim"
 )
 
 // Options parameterizes bounded-exhaustive exploration.
@@ -108,13 +109,15 @@ func Explore(lit *checker.Litmus, o Options) *Report {
 	if o.Budget > 0 {
 		deadline = start.Add(o.Budget)
 	}
+	var carriers sim.Carriers
+	defer carriers.Close()
 	for k := 0; k <= o.MaxPreemptions; k++ {
 		sh := &boundShared{deadline: deadline, maxSched: o.MaxSchedules, done: make(chan struct{})}
 		var br boundResult
 		if workers > 1 {
-			br = exploreBoundParallel(lit, &o, sh, k, workers)
+			br = exploreBoundParallel(lit, &o, sh, k, workers, &carriers)
 		} else {
-			en := newEngine(lit, &o, sh, k)
+			en := newEngine(lit, &o, sh, k, &carriers)
 			br = en.dfs(nil)
 		}
 		br.ks.K = k
@@ -223,19 +226,21 @@ func betterViolation(a, b *RunResult) *RunResult {
 }
 
 // engine is one depth-first enumerator: a reusable recorder plus the
-// per-decision-point sleep/done bookkeeping along the current path.
+// per-decision-point sleep/done bookkeeping along the current path. Its
+// runs take their carriers from the pool of the goroutine it runs on.
 type engine struct {
-	lit    *checker.Litmus
-	o      *Options
-	sh     *boundShared
-	k      int
-	rec    recorder
-	path   []nodeState
-	forced []int
+	lit      *checker.Litmus
+	o        *Options
+	sh       *boundShared
+	k        int
+	carriers *sim.Carriers
+	rec      recorder
+	path     []nodeState
+	forced   []int
 }
 
-func newEngine(lit *checker.Litmus, o *Options, sh *boundShared, k int) *engine {
-	en := &engine{lit: lit, o: o, sh: sh, k: k}
+func newEngine(lit *checker.Litmus, o *Options, sh *boundShared, k int, carriers *sim.Carriers) *engine {
+	en := &engine{lit: lit, o: o, sh: sh, k: k, carriers: carriers}
 	en.rec.por = o.POR == PORSleepSets
 	en.rec.cache = o.Cache
 	en.rec.bound = k
@@ -266,7 +271,7 @@ func (en *engine) dfs(prefix []int) boundResult {
 			break
 		}
 		en.rec.reset(en.forced)
-		res := runProgram(en.lit, &en.rec)
+		res := runProgram(en.lit, &en.rec, en.carriers)
 		out.runs++
 		out.decisions += len(res.Decisions)
 		switch {

@@ -243,10 +243,11 @@ type RunResult struct {
 const maxRunSteps = 2_000_000
 
 // runProgram executes lit's simulator program once under rec's schedule,
-// replays the linearization trace through the specification, and applies
-// the litmus's own outcome check and then, since every thread finished,
-// the check that no condition variable kept a commitment or a waiter.
-func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
+// on carriers from the given pool (nil: the run's own), replays the
+// linearization trace through the specification, and applies the litmus's
+// own outcome check and then, since every thread finished, the check that
+// no condition variable kept a commitment or a waiter.
+func runProgram(lit *checker.Litmus, rec *recorder, carriers *sim.Carriers) RunResult {
 	var events []trace.Event
 	opts := lit.Sim.Opts
 	opts.NubAwait = true // finite decision tree; see WorldOptions.NubAwait
@@ -255,6 +256,7 @@ func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
 		Quantum:  lit.Sim.Quantum,
 		MaxSteps: maxRunSteps,
 		Choose:   rec.choose,
+		Carriers: carriers,
 		Trace: func(ev sim.Event) {
 			if a, ok := ev.Payload.(spec.Action); ok {
 				events = append(events, trace.Event{Seq: ev.Seq, Thread: ev.Thread.Name(), Action: a})
@@ -313,7 +315,7 @@ func runProgram(lit *checker.Litmus, rec *recorder) RunResult {
 // runKernel runs k and hands back a panic that Run re-raised from a thread
 // body, so that one crashing schedule is reported as a violation with a
 // certificate instead of killing the whole sweep. Run re-raises only after
-// every thread goroutine has unwound, so nothing of the run is left behind.
+// every thread has unwound, so nothing of the run is left behind.
 func runKernel(k *sim.Kernel) (panicked any, err error) {
 	defer func() { panicked = recover() }()
 	return nil, k.Run()

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"threads/internal/checker"
+	"threads/internal/sim"
 )
 
 // This file shards one context bound's schedule space across a worker
@@ -13,10 +14,11 @@ import (
 // engine.dfs, a shared atomic counter enforces MaxSchedules, and the first
 // violation cancels the rest of the pool through boundShared.done.
 //
-// Determinism: a probe run that still branches is not counted as a
-// schedule (the worker owning the chosen child re-runs and counts it), so
-// every maximal path is counted by exactly one engine and the merged
-// per-bound schedule counts are independent of the worker count. With
+// Determinism: a probe run that still branches past its prefix is not
+// counted as a schedule (the worker owning the chosen child re-runs and
+// counts it), so every maximal path is counted by exactly one engine and
+// the merged per-bound schedule counts are independent of the worker
+// count. A probe run that does not branch is counted by the probe. With
 // sleep sets on, workers rebuild the sleep/done state of their prefix
 // (engine.buildPrefixPath), so pruning decisions — and therefore counts —
 // also match the serial search. A shared state cache stays sound but makes
@@ -24,10 +26,11 @@ import (
 // reported can vary with scheduling; replay and minimization of the one
 // reported stay single-threaded and deterministic.
 
-// exploreBoundParallel runs one context bound on a worker pool.
-func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, workers int) boundResult {
+// exploreBoundParallel runs one context bound on a worker pool. The probe
+// runs on the caller's goroutine, on its carriers.
+func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, workers int, carriers *sim.Carriers) boundResult {
 	var out boundResult
-	probe := newEngine(lit, o, sh, k)
+	probe := newEngine(lit, o, sh, k, carriers)
 	queue := [][]int{nil} // work items: forced prefixes partitioning the space
 	var work [][]int
 	target := workers * 4
@@ -39,7 +42,7 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 		prefix := queue[0]
 		queue = queue[1:]
 		probe.rec.reset(prefix)
-		res := runProgram(lit, &probe.rec)
+		res := runProgram(lit, &probe.rec, carriers)
 		out.runs++
 		out.decisions += len(res.Decisions)
 		if res.Violation != nil {
@@ -55,30 +58,26 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 			out.ks.CacheHits++
 			continue // the whole subtree is cache-covered
 		}
+		// Split at the first decision past the prefix that branches. The
+		// probe followed the default past the prefix; each affordable,
+		// non-slept alternative there (default included) becomes a child
+		// item. This run itself is NOT counted: the worker owning the
+		// default child will re-run it.
 		dec := res.Decisions
-		if len(dec) <= len(prefix) {
-			// The prefix forces the entire run: a single-schedule subtree.
+		n, children := probe.branchPast(dec, len(prefix), &out.ks.Pruned)
+		if children == nil {
+			// Nothing past the prefix branches: this run is the subtree's
+			// only schedule.
 			sh.countSchedule()
 			out.ks.Schedules++
 			out.ks.MaxDepth = max(out.ks.MaxDepth, len(dec))
 			continue
 		}
-		// Split at the first decision past the prefix. The probe followed
-		// the default there; each affordable, non-slept alternative
-		// (default included) becomes a child item. This run itself is NOT
-		// counted: the worker owning the default child will re-run it.
-		n := len(prefix)
-		ns := probe.expansionNode(dec, n)
-		d := &dec[n]
-		// Count this node's sleep-pruned alternatives here (its children
-		// are split into separate items, so no worker scans it). The
-		// chosen/default child counts as done, exactly as it would be at
-		// exhaustion in the serial search.
-		ns.done = idBit(d.CandIDs[d.Chosen])
-		out.ks.Pruned += countSlept(d, ns, k)
-		for _, c := range expandChoices(d, ns, k) {
+		for _, c := range children {
 			child := make([]int, n+1)
-			copy(child, prefix)
+			for j := range n {
+				child[j] = dec[j].Chosen
+			}
 			child[n] = c
 			queue = append(queue, child)
 		}
@@ -95,7 +94,9 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			en := newEngine(lit, o, sh, k)
+			var carriers sim.Carriers
+			defer carriers.Close()
+			en := newEngine(lit, o, sh, k, &carriers)
 			var acc boundResult
 			for prefix := range itemCh {
 				r := en.dfs(prefix)
@@ -124,8 +125,31 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 	return out
 }
 
+// branchPast walks the probe's latest run down from depth n while each
+// node has a single child, the run's own (default) choice, and returns the
+// first node with several children: its depth and its expandChoices. At
+// the run's end it returns nil children. It adds each node's sleep-pruned
+// alternatives to *pruned (no worker scans these nodes), with the chosen
+// child done, exactly as at exhaustion in the serial search.
+func (en *engine) branchPast(dec []Decision, n int, pruned *int) (int, []int) {
+	if n >= len(dec) {
+		return n, nil
+	}
+	ns := en.expansionNode(dec, n)
+	for ; n < len(dec); n++ {
+		d := &dec[n]
+		ns.done = idBit(d.CandIDs[d.Chosen])
+		*pruned += countSlept(d, ns, en.k)
+		if ch := expandChoices(d, ns, en.k); len(ch) > 1 {
+			return n, ch
+		}
+		ns = nodeState{sleep: inheritSleep(ns, d)}
+	}
+	return n, nil
+}
+
 // expansionNode reconstructs the sleep state at depth n of the probe's
-// latest run (the node whose children become work items).
+// latest run (the first node past a work item's prefix).
 func (en *engine) expansionNode(dec []Decision, n int) nodeState {
 	if !en.rec.por {
 		return nodeState{}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"threads/internal/checker"
+	"threads/internal/sim"
 )
 
 // FuzzOptions parameterizes swarm scheduling: weighted-random sampling
@@ -58,6 +59,8 @@ func Fuzz(lit *checker.Litmus, o FuzzOptions) *FuzzReport {
 		o.PreemptProb = 0.2
 	}
 	rep := &FuzzReport{Litmus: lit.Name, ExpectViolation: lit.ExpectViolation}
+	var carriers sim.Carriers
+	defer carriers.Close()
 	for i := 0; ; i++ {
 		if o.Runs > 0 && i >= o.Runs {
 			break
@@ -70,7 +73,7 @@ func Fuzz(lit *checker.Litmus, o FuzzOptions) *FuzzReport {
 		}
 		seed := o.Seed + int64(i)
 		rec := &recorder{rng: rand.New(rand.NewSource(seed)), preemptProb: o.PreemptProb}
-		res := runProgram(lit, rec)
+		res := runProgram(lit, rec, &carriers)
 		rep.Runs++
 		rep.Decisions += len(res.Decisions)
 		if res.Violation != nil {

@@ -10,7 +10,7 @@ import (
 // the interleaving exactly.
 func TestChooseControlsInterleaving(t *testing.T) {
 	run := func(pickLast bool) (order []string, decisions int) {
-		// Choose runs on a simulated thread's goroutine, where t.Fatal
+		// Choose runs on a simulated thread's carrier, where t.Fatal
 		// must not be called: record a bad order and fail after Run.
 		var badOrder []string
 		k := NewKernel(Config{

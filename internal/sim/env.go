@@ -32,9 +32,10 @@ type Env struct {
 //
 // The thread runs the scheduler itself (baton passing): it accounts the
 // step it just ended and chooses the next one. If it chooses itself it
-// returns at once, with no goroutine switch; otherwise it wakes the chosen
-// thread with one send on its grant channel and parks until granted again.
-// When the run ends, the thread unwinds with simAbort.
+// returns at once, with no switch; otherwise it leaves the chosen thread
+// in k.next and yields its carrier to Run, which resumes the chosen one.
+// When the run ends, the thread unwinds with simAbort: at once if the run
+// has already ended, or when Run resumes it after the end.
 func (e *Env) yieldPoint(op opKind, cost uint64, fp Footprint) {
 	t := e.t
 	t.pendingOp = op
@@ -44,12 +45,12 @@ func (e *Env) yieldPoint(op opKind, cost uint64, fp Footprint) {
 	if next == t {
 		return
 	}
-	if next != nil { // nil: the run has ended
-		next.grant <- struct{}{}
+	if next == nil {
+		panic(simAbort{})
 	}
-	select {
-	case <-t.grant:
-	case <-t.k.stop:
+	t.k.next = next
+	t.c.yield(struct{}{})
+	if t.k.ended {
 		panic(simAbort{})
 	}
 }

@@ -114,8 +114,8 @@ func TestRunEnds(t *testing.T) {
 			if !tc.check(r, err) {
 				t.Errorf("Run = (panic %v, error %v)", r, err)
 			}
-			// Run waited for every thread's wg.Done; give the goroutines
-			// the moment they need to exit after it.
+			// Run closed its own carriers; give their goroutines the
+			// moment they need to exit after it.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 				runtime.Gosched()
@@ -132,8 +132,9 @@ var benchWord Word
 // BenchmarkStep is the kernel's cost per simulated step, one op being one
 // step: two threads on two processors Load a shared word, with Choose
 // consulted at every step. "keep" keeps the running thread, so the thread
-// that reaches a yield point continues on its own goroutine; "alternate"
-// switches threads every step, so every step hands the baton over.
+// that reaches a yield point continues on its own carrier; "alternate"
+// switches threads every step, so every step hands the baton over through
+// Run's loop.
 func BenchmarkStep(b *testing.B) {
 	keep := func(prev *T, cands []*T) int {
 		for i, c := range cands {

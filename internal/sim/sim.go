@@ -26,12 +26,16 @@
 // matches the usual operational model for shared-memory algorithms, where
 // only the shared accesses order.
 //
-// Each simulated thread is a goroutine, and the scheduler runs on whichever
-// goroutine holds the baton: the thread that reaches a yield point accounts
-// its own step and chooses the next one. If it chooses itself it simply
-// continues, with no goroutine switch; otherwise it wakes the chosen thread
-// with one send on that thread's grant channel and parks on its own. Run
-// makes only the first decision and then waits for the run to end.
+// Each simulated thread runs on a carrier, a coroutine taken from a pool
+// (Carriers), and the scheduler runs on whichever thread holds the baton:
+// the thread that reaches a yield point accounts its own step and chooses
+// the next one. If it chooses itself it simply continues; otherwise it
+// names the chosen thread and yields to Run, whose loop resumes that
+// thread's carrier. A coroutine switch does not pass through the Go
+// scheduler, and the kernel's state is only ever touched by the one
+// coroutine running, so the kernel needs no locks. Run makes the first
+// decision, and once the run has ended it resumes each thread still parked
+// mid-body so that the thread unwinds.
 package sim
 
 import (
@@ -40,7 +44,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"threads/internal/queue"
 )
@@ -61,14 +64,15 @@ const (
 
 // Config parameterizes a Kernel.
 //
-// The hooks Trace, Choose and OnStep run on the goroutine of whichever
+// The hooks Trace, Choose and OnStep run on the carrier of whichever
 // simulated thread reached the yield point, or emitted the event; Run's own
 // goroutine makes the first scheduling decision. No two hooks ever run at
 // once, so they need no locking among themselves, but a hook must not
-// block and must not call t.Fatal or runtime.Goexit: either would strand
-// the run. A panic in a hook or in a thread body ends the run, and Run
-// re-raises the first such panic on its caller's goroutine once every
-// thread goroutine has unwound.
+// block, and neither a hook nor a thread body may call t.Fatal or
+// runtime.Goexit: Run re-raises the Goexit on its caller and leaves the
+// run's other threads parked. A panic in a hook or in a thread body ends
+// the run, and Run re-raises the first such panic on its caller's
+// goroutine once every thread has unwound.
 type Config struct {
 	// Procs is the number of processors (default 1; the Firefly of the
 	// paper had several MicroVAX II processors — the benchmarks use 5).
@@ -107,6 +111,11 @@ type Config struct {
 	// explorer accumulates these into per-edge footprints for its
 	// partial-order reduction.
 	OnStep func(t *T, fp Footprint)
+	// Carriers, if non-nil, is the pool the run's threads take their
+	// carriers from and return them to. A goroutine that runs many kernels
+	// one after another keeps one pool and closes it when done. With nil,
+	// Run makes a pool of its own and closes it before it returns.
+	Carriers *Carriers
 }
 
 // CostProfile gives the instruction cost of each simulated operation.
@@ -169,11 +178,9 @@ type T struct {
 	state threadState
 	proc  int // processor index while running
 	item  *queue.PItem[*T]
-	// grant carries the baton: one send lets the parked thread run its next
-	// step. One slot is enough, since only the baton holder sends and it
-	// sends one grant per hand-off; with it the sender never waits for a
-	// freshly spawned goroutine to reach its first receive.
-	grant       chan struct{}
+	// c is the carrier running the thread, from its first step until its
+	// body ends.
+	c           *carrier
 	env         Env
 	fn          func(*Env)
 	instret     uint64 // instructions executed by this thread
@@ -228,7 +235,7 @@ type proc struct {
 	quantumLeft uint64
 }
 
-// simAbort unwinds a thread goroutine when the run ends before it does.
+// simAbort unwinds a thread when the run ends before it does.
 type simAbort struct{}
 
 // Kernel owns the simulated machine: processors, threads, ready pool,
@@ -240,10 +247,9 @@ type Kernel struct {
 	procs   []*proc
 	threads []*T
 	ready   *queue.PriorityQueue[*T]
-	// stop is closed when the run ends: Run returns, and every parked
-	// thread unwinds.
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	// next is the thread the baton holder chose before it yielded to Run;
+	// nil once the run has ended.
+	next    *T
 	steps   uint64
 	lastEvt uint64 // clock of the most recent instruction, for idle procs
 	seq     uint64
@@ -258,11 +264,11 @@ type Kernel struct {
 	// reused across decisions.
 	runnable []*proc
 	cands    []*T
-	// err is Run's result, set by the goroutine that ended the run.
-	// panicked is the first panic from a thread body or a hook.
-	err       error
-	panicOnce sync.Once
-	panicked  any
+	// ended is set when the run ends, with err as Run's result. panicked
+	// is the first panic from a thread body or a hook.
+	ended    bool
+	err      error
+	panicked any
 	// awaiting maps a Word to the threads blocked in TASAwait on it.
 	awaiting map[*Word][]*T
 	// watchers maps a Word to the threads blocked in AwaitChange on it.
@@ -285,7 +291,6 @@ func NewKernel(cfg Config) *Kernel {
 		cfg:   cfg,
 		cost:  cfg.Cost.orDefault(),
 		ready: queue.NewPriorityQueue[*T](),
-		stop:  make(chan struct{}),
 	}
 	if cfg.Choose == nil {
 		k.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -309,7 +314,6 @@ func (k *Kernel) SpawnPri(name string, pri int, fn func(*Env)) *T {
 		id:          len(k.threads),
 		name:        name,
 		k:           k,
-		grant:       make(chan struct{}, 1),
 		fn:          fn,
 		preemptible: true,
 	}
@@ -320,13 +324,12 @@ func (k *Kernel) SpawnPri(name string, pri int, fn func(*Env)) *T {
 	t.item = queue.NewPItem(t, queue.Priority(pri))
 	k.threads = append(k.threads, t)
 	k.ready.Push(t.item)
-	k.wg.Add(1)
-	go t.main()
 	return t
 }
 
+// main runs the thread's body on its carrier, then accounts its exit and
+// leaves the thread chosen next in k.next for Run.
 func (t *T) main() {
-	defer t.k.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(simAbort); !ok {
@@ -334,18 +337,9 @@ func (t *T) main() {
 			}
 		}
 	}()
-	// Wait for the first grant, which starts execution, or for the run to
-	// end without one.
-	select {
-	case <-t.grant:
-	case <-t.k.stop:
-		return
-	}
 	t.fn(&t.env)
 	t.pendingOp = opExit
-	if next := t.k.advance(t); next != nil {
-		next.grant <- struct{}{}
-	}
+	t.k.next = t.k.advance(t)
 }
 
 // Run executes the machine until every thread is done. It returns nil on
@@ -353,45 +347,68 @@ func (t *T) main() {
 // run, ErrStepLimit, or ErrAborted; a panic in a thread body or a hook is
 // re-raised here. Run may be called once per Kernel.
 func (k *Kernel) Run() error {
-	if next := k.advance(nil); next != nil {
-		next.grant <- struct{}{}
+	if k.cfg.Carriers == nil {
+		k.cfg.Carriers = new(Carriers)
+		defer k.cfg.Carriers.Close()
 	}
-	<-k.stop
-	k.wg.Wait()
+	for t := k.advance(nil); t != nil; t = k.next {
+		k.next = nil
+		k.resume(t)
+	}
+	// The run has ended. Each thread still parked mid-body unwinds with
+	// simAbort, which returns its carrier to the pool.
+	for _, t := range k.threads {
+		if t.c != nil {
+			k.resume(t)
+		}
+	}
 	if k.panicked != nil {
 		panic(k.panicked)
 	}
 	return k.err
 }
 
-// end finishes the run with err, unless it has already ended. Only the
-// baton holder can find the run still going, so the check cannot race.
-func (k *Kernel) end(err error) {
-	select {
-	case <-k.stop:
-	default:
-		k.err = err
-		close(k.stop)
+// resume runs t on its carrier until t yields to Run: at a yield point
+// where it chose another thread or the run ended, or when its body ends.
+// A thread takes a carrier from the pool at its first step and returns it
+// when its body ends.
+func (k *Kernel) resume(t *T) {
+	c := t.c
+	if c == nil {
+		c = k.cfg.Carriers.get()
+		c.t, t.c = t, c
+	}
+	c.co.resume()
+	if c.t == nil {
+		t.c = nil
+		k.cfg.Carriers.put(c)
 	}
 }
 
-// fail records r if it is the run's first panic and ends the run. Threads
-// unwinding after the end may call it concurrently.
+// end finishes the run with err, unless it has already ended.
+func (k *Kernel) end(err error) {
+	if !k.ended {
+		k.ended = true
+		k.err = err
+	}
+}
+
+// fail records r if it is the run's first panic and ends the run.
 func (k *Kernel) fail(r any) {
-	k.panicOnce.Do(func() { k.panicked = r })
+	if k.panicked == nil {
+		k.panicked = r
+	}
 	k.end(nil)
 }
 
-// advance is the scheduler. It runs on the goroutine that holds the baton:
+// advance is the scheduler. It runs on the coroutine that holds the baton:
 // the thread t that just reached a yield point or exited, or Run's with a
 // nil t for the first decision. It accounts the step t just ended, then
 // chooses the next step and returns the thread to run it, or nil once the
 // run has ended.
 func (k *Kernel) advance(t *T) (next *T) {
-	select {
-	case <-k.stop:
+	if k.ended {
 		return nil // t is unwinding after the end; the machine is frozen
-	default:
 	}
 	defer func() {
 		if r := recover(); r != nil {
