@@ -20,7 +20,12 @@
 # ratio head/base of the medians, in how many pairs head beat base, and a
 # verdict: "gain" when head beat base in at least 9 pairs of 10 and the
 # medians are further apart than base's interquartile range, "-"
-# otherwise.
+# otherwise. A second verdict, against the metric's bound in
+# BENCHMARK.json, holds every change that claims no gain: "worse" when
+# head's median is worse than base's by more than the bound (a fraction of
+# base's median), "unresolved" when base's own min-max range exceeds the
+# bound unless every head run beat every base run, "ok" otherwise (gotest
+# runs have no bound and print "-").
 #
 # The layout line compares the two sides' binaries after the first pair
 # (`go tool nm -n`): how many functions of threads/internal/core and
@@ -206,9 +211,10 @@ wrong = {s: sum(not runs[p][s]["correct"] for p in pairs) for s in ("base", "hea
 print(f"{n} pairs; failed ops base {failed['base']}, head {failed['head']}; "
       f"incorrect runs base {wrong['base']}, head {wrong['head']}")
 if bench:  # perfbench: the end-to-end metrics of BENCHMARK.json
-    metrics = [(m["name"], m["better"] == "higher") for m in json.load(open(bench))["end_to_end"]]
+    metrics = [(m["name"], m["better"] == "higher", m["bound"])
+               for m in json.load(open(bench))["end_to_end"]]
 else:  # gotest: ns/op of every benchmark at every core count
-    metrics = [(name, False) for name in dict.fromkeys(
+    metrics = [(name, False, None) for name in dict.fromkeys(
         name for p in pairs for s in ("base", "head") for name in runs[p][s]["metrics"])]
 
 
@@ -219,11 +225,28 @@ def quartiles(v):
     return q[0], q[2]
 
 
-w = max([18] + [len(name) for name, _ in metrics])
+def bounded(v, med, higher, bound):
+    # The no-regression verdict: head's median against base's, and base's
+    # min-max range, both as fractions of base's median.
+    if bound is None:
+        return "-"
+    base = med["base"]
+    if not base:
+        return "unresolved"
+    worse = (base - med["head"] if higher else med["head"] - base) / base
+    if worse > bound:
+        return "worse"
+    clear = min(v["head"]) > max(v["base"]) if higher else max(v["head"]) < min(v["base"])
+    if (max(v["base"]) - min(v["base"])) / base > bound and not clear:
+        return "unresolved"
+    return "ok"
+
+
+w = max([18] + [len(name) for name, _, _ in metrics])
 print(f"{'metric':<{w}} {'base median':>11} {'base min-max':>21} {'base q1-q3':>21} "
       f"{'head median':>11} {'head min-max':>21} {'head q1-q3':>21} {'head/base':>9} "
-      f"{'head wins':>9} {'verdict':>7}")
-for name, higher in metrics:
+      f"{'head wins':>9} {'verdict':>7} {'bound':>10}")
+for name, higher, bound in metrics:
     if not all(name in runs[p][s]["metrics"] for p in pairs for s in ("base", "head")):
         continue
     v = {s: [runs[p][s]["metrics"][name]["value"] for p in pairs] for s in ("base", "head")}
@@ -240,5 +263,5 @@ for name, higher in metrics:
     verdict = "gain" if apart and ahead and wins >= 0.9 * n else "-"
     print(f"{name:<{w}} {med['base']:>11.4g} {span['base']:>21} {iqr['base']:>21} "
           f"{med['head']:>11.4g} {span['head']:>21} {iqr['head']:>21} {ratio:>9.3f} "
-          f"{wins:>7}/{n} {verdict:>7}")
+          f"{wins:>7}/{n} {verdict:>7} {bounded(v, med, higher, bound):>10}")
 EOF

@@ -14,11 +14,12 @@ import (
 // not, and only semaphores have AlertP).
 //
 // Representation, per the paper: a pair (lock bit, queue). Bit 0 of word is
-// 1 iff a thread is inside (mutex held / semaphore unavailable); with
-// conformance tracing enabled, bits 1..63 carry the stamp of the transition
-// that produced the current value (see trace.go for the full argument). The
-// queue holds threads blocked awaiting their WHEN condition, and is
-// manipulated only under the Nub spin lock.
+// 1 iff a thread is inside (mutex held / semaphore unavailable); bit 1 is
+// set on a mutex with priority inheritance, and every transition carries it
+// through; with conformance tracing enabled, bits 2..63 carry the stamp of
+// the transition that produced the current value (see trace.go for the full
+// argument). The queue holds threads blocked awaiting their WHEN condition,
+// and is manipulated only under the Nub spin lock.
 type gate struct {
 	word atomic.Uint64
 	qlen atomic.Int32 // mirror of q.Len(), readable outside the spin lock
@@ -30,17 +31,23 @@ type gate struct {
 	q       queue.PriorityQueue[*waiter]
 	traceID atomic.Uint64 // conformance-trace identity, assigned lazily
 
-	// pi enables priority inheritance (Mutex.SetPriorityInheritance): a
-	// blocked Acquire donates its priority to the holder, restored at
-	// Release. piHolder is the thread currently inside the gate, guarded
-	// by nub; nil when the holder is unknown (anonymous acquisition before
-	// priorities were in use) — donors then skip, a heuristic miss.
-	pi       atomic.Bool
+	// piHolder is the thread inside a gate with priority inheritance
+	// (gatePIBit), guarded by nub; nil when the holder is unknown
+	// (anonymous acquisition before priorities were in use) — donors then
+	// skip, a heuristic miss.
 	piHolder *Thread //threads:guardedby nub
 }
 
-// gateLockedBit is bit 0 of the gate word.
-const gateLockedBit = 1
+// The gate word's layout.
+const (
+	gateLockedBit = 1 // bit 0: a thread is inside
+	// gatePIBit (bit 1) enables priority inheritance on a mutex
+	// (Mutex.SetPriorityInheritance): a blocked Acquire donates its
+	// priority to the holder, restored at Release. A free PI gate's word
+	// is nonzero, so lockFast never takes it, and unlockFast refuses it.
+	gatePIBit      = 1 << 1
+	gateStampShift = 2 // bits 2..63: the traced transition's stamp
+)
 
 // gateStats routes the shared mechanism's counters to the mutex or
 // semaphore columns of Stats, and its trace events to the mutex or
@@ -69,15 +76,12 @@ var semGateStats = gateStats{
 // operation reads once: zero runs the paper's user code (lockFast,
 // unlockFast), and any set bit sends the operation to its outlined slow
 // path. SetChecking, EnableStats and Start/StopTracing flip their bits.
-// instrPI is sticky, like prioInUse, and is set before the mutex's own pi
-// flag, so a fast path that read zero is never a PI mutex's.
 var instr atomic.Uint32
 
 const (
 	instrTrace uint32 = 1 << iota // conformance tracing
 	instrCheck                    // holder checking
 	instrStats                    // contention counters
-	instrPI                       // some mutex has priority inheritance
 )
 
 // setInstr sets or clears bit alone and reports whether it was set. (A CAS
@@ -99,17 +103,19 @@ func setInstr(bit uint32, on bool) bool {
 func tracing() bool { return instr.Load()&instrTrace != 0 }
 
 // lockFast is the user code of Acquire and P while the instrumentation
-// word is zero: one test-and-set. False sends the caller to its slow path.
+// word is zero: one test-and-set. False sends the caller to its slow path,
+// as it does for a PI gate, whose free word is not 0.
 func (g *gate) lockFast() bool {
 	return instr.Load() == 0 && g.word.CompareAndSwap(0, gateLockedBit)
 }
 
-// unlockFast clears the lock bit if the instrumentation word is zero and no
-// thread is queued (the hand-off policy must see a waiter first); false
-// leaves the word alone for the caller's slow path. The caller then calls
-// releaseNub if the queue is no longer empty — outside, so this inlines.
+// unlockFast clears the lock bit if the instrumentation word is zero, no
+// thread is queued (the hand-off policy must see a waiter first) and the
+// gate has no priority inheritance; false leaves the word alone for the
+// caller's slow path. The caller then calls releaseNub if the queue is no
+// longer empty — outside, so this inlines.
 func (g *gate) unlockFast() bool {
-	if instr.Load() != 0 || g.qlen.Load() != 0 {
+	if instr.Load() != 0 || g.qlen.Load() != 0 || g.word.Load()&gatePIBit != 0 {
 		return false
 	}
 	g.word.Store(0)
@@ -124,18 +130,18 @@ func (g *gate) tryAcquire(tc traceCtx) bool {
 		if g.word.CompareAndSwap(0, gateLockedBit) {
 			return true
 		}
-		// The word may carry stale stamp bits from a traced period; one
-		// successful untraced transition returns it to the plain 0/1
-		// regime.
+		// The word may carry the PI bit, or stale stamp bits from a
+		// traced period; one successful untraced transition drops the
+		// stamp and keeps the bit.
 		w := g.word.Load()
-		return w != 0 && w&gateLockedBit == 0 && g.word.CompareAndSwap(w, gateLockedBit)
+		return w != 0 && w&gateLockedBit == 0 && g.word.CompareAndSwap(w, w&gatePIBit|gateLockedBit)
 	}
 	w := g.word.Load()
 	if w&gateLockedBit != 0 {
 		return false
 	}
 	seq := nextTraceSeq()
-	if !g.word.CompareAndSwap(w, seq<<1|gateLockedBit) {
+	if !g.word.CompareAndSwap(w, seq<<gateStampShift|w&gatePIBit|gateLockedBit) {
 		return false
 	}
 	traceEmit(seq, tc.kind, tc.tid, traceObjID(&g.traceID), tc.obj2, false)
@@ -145,7 +151,7 @@ func (g *gate) tryAcquire(tc traceCtx) bool {
 // acquire implements Acquire/P. The user code test-and-sets the lock bit,
 // then briefly spins for the holder to leave, and calls the Nub subroutine
 // only if the bit stays set. t carries the calling thread when the caller
-// already knows it (PI mutexes, alertable paths); nil lets the slow path
+// already knows it (checked mode, alertable paths); nil lets the slow path
 // recover it lazily, and only when priorities are in use.
 func (g *gate) acquire(t *Thread, st *gateStats, tc traceCtx) {
 	if g.tryAcquire(tc) {
@@ -210,12 +216,14 @@ func (g *gate) release(st *gateStats, tc traceCtx) {
 		return
 	}
 	if tc.kind == TraceNone {
-		g.word.Store(0)
+		// Only a mutex has the PI bit, and only its holder writes its
+		// held word, so the load and the store are one transition.
+		g.word.Store(g.word.Load() & gatePIBit)
 	} else {
 		for {
 			w := g.word.Load()
 			seq := nextTraceSeq()
-			if g.word.CompareAndSwap(w, seq<<1) {
+			if g.word.CompareAndSwap(w, seq<<gateStampShift|w&gatePIBit) {
 				traceEmit(seq, tc.kind, tc.tid, traceObjID(&g.traceID), 0, false)
 				break
 			}
@@ -231,7 +239,7 @@ func (g *gate) release(st *gateStats, tc traceCtx) {
 // this, and no other transition changes a held mutex's word, so a plain
 // store is the transition.
 func (g *gate) releaseEmbed(st *gateStats, seq uint64) {
-	g.word.Store(seq << 1)
+	g.word.Store(seq<<gateStampShift | g.word.Load()&gatePIBit)
 	g.releaseCommon(st)
 }
 
@@ -264,7 +272,7 @@ func (g *gate) releaseNub(st *gateStats) {
 		g.qlen.Add(-1)
 		w := n.Value
 		if w.claim(reasonWake) {
-			if g.pi.Load() {
+			if g.pi() {
 				// Not a transfer — the woken thread retries its
 				// test-and-set and may lose — but the holder identity is
 				// unknown until someone wins, so clear it rather than
@@ -342,7 +350,7 @@ func (g *gate) releaseHandoff(st *gateStats, tc traceCtx) bool {
 		}
 		// Claimed by Alert after enqueueing; it no longer wants the gate.
 	}
-	if g.pi.Load() {
+	if g.pi() {
 		// The transfer makes w's thread the holder the moment the wake
 		// lands; install it while the nub lock still serializes donors.
 		g.piHolder = w.owner
@@ -356,13 +364,14 @@ func (g *gate) releaseHandoff(st *gateStats, tc traceCtx) bool {
 	}
 	for {
 		old := g.word.Load()
+		pi := old & gatePIBit
 		seqR := nextTraceSeq()
-		if !g.word.CompareAndSwap(old, seqR<<1) {
+		if !g.word.CompareAndSwap(old, seqR<<gateStampShift|pi) {
 			continue
 		}
 		traceEmit(seqR, st.tkRel, tc.tid, traceObjID(&g.traceID), 0, false)
 		seqA := nextTraceSeq()
-		if g.word.CompareAndSwap(seqR<<1, seqA<<1|gateLockedBit) {
+		if g.word.CompareAndSwap(seqR<<gateStampShift|pi, seqA<<gateStampShift|pi|gateLockedBit) {
 			w.handoffSeq = seqA
 		} else {
 			w.handoffSeq = handoffDemoted // a concurrent transition intervened
@@ -502,11 +511,14 @@ func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted 
 // both backends to the same boost/restore discipline.
 // ---------------------------------------------------------------------------
 
+// pi reports the gate's priority-inheritance bit.
+func (g *gate) pi() bool { return g.word.Load()&gatePIBit != 0 }
+
 // piDonate donates the enqueued waiter's priority to the gate's holder.
 // Called with g.nub held, after the waiter committed to parking. No-ops
 // unless PI is on, the holder is known, and the donation would raise it.
 func (g *gate) piDonate(w *waiter) {
-	if !g.pi.Load() {
+	if !g.pi() {
 		return
 	}
 	h := g.piHolder

@@ -45,7 +45,7 @@ func (m *Mutex) Acquire() {
 // check, the trace context and the holder bookkeeping.
 func (m *Mutex) acquireSlow() {
 	mode := instr.Load()
-	t := m.self(mode, true)
+	t := m.self(mode)
 	if mode&instrCheck != 0 && m.holder.Load() == t.id {
 		panic("threads: recursive Acquire would deadlock: " + t.name + " already holds the mutex")
 	}
@@ -62,7 +62,7 @@ func (m *Mutex) TryAcquire() bool {
 
 func (m *Mutex) tryAcquireSlow() bool {
 	mode := instr.Load()
-	t := m.self(mode, true)
+	t := m.self(mode)
 	if !m.g.tryAcquire(traceCtxFor(mode, TraceAcquire, t)) {
 		return false
 	}
@@ -85,7 +85,7 @@ func (m *Mutex) Release() {
 
 func (m *Mutex) releaseSlow() {
 	mode := instr.Load()
-	t := m.self(mode, false)
+	t := m.self(mode)
 	m.leaving(mode, t, "Release")
 	m.g.release(&mutexGateStats, traceCtxFor(mode, TraceRelease, t))
 }
@@ -94,39 +94,44 @@ func (m *Mutex) releaseSlow() {
 // mutex and returns the previous setting. With PI on, a blocked Acquire
 // donates its thread's effective priority to the holder for the duration
 // of the hold (gate.piDonate); the donation is removed at Release and the
-// boost/restore transitions carry conformance stamps. PI mutexes track
-// their holder, which costs a SELF recovery per acquisition, and once any
-// mutex has PI every Mutex and Semaphore operation takes its slow path —
-// enable it where priority-sensitive threads contend, not globally. Flip
-// only while the mutex is free.
+// boost/restore transitions carry conformance stamps. The setting is a bit
+// of the mutex's own lock word: a PI mutex's Acquire and Release take
+// their slow paths and track the holder, which costs a SELF recovery per
+// acquisition, while other Mutexes and Semaphores keep their fast paths.
+// Flip only while the mutex is free: on a held mutex it panics, since the
+// holder may already carry donations that only a PI Release removes.
 func (m *Mutex) SetPriorityInheritance(on bool) bool {
+	w := m.g.word.Load()
+	next := w &^ gatePIBit
 	if on {
-		setInstr(instrPI, true)
+		next |= gatePIBit
 	}
-	prev := m.g.pi.Swap(on)
-	if prev && !on {
-		m.g.piSetHolder(nil)
+	if w&gateLockedBit != 0 || !m.g.word.CompareAndSwap(w, next) {
+		panic("threads: SetPriorityInheritance on a held mutex; flip it only while the mutex is free")
 	}
-	return prev
+	return w&gatePIBit != 0
 }
 
-func (m *Mutex) piOn(mode uint32) bool { return mode&instrPI != 0 && m.g.pi.Load() }
-
-// self returns the calling thread if mode makes the mutex track its holder
-// (checking, or acquiring a PI mutex), else nil: no needless SELF recovery.
-func (m *Mutex) self(mode uint32, acquiring bool) *Thread {
-	if mode&instrCheck != 0 || acquiring && m.piOn(mode) {
+// self returns the calling thread in checking mode, which tracks the
+// holder, else nil: no needless SELF recovery.
+func (m *Mutex) self(mode uint32) *Thread {
+	if mode&instrCheck != 0 {
 		return Self()
 	}
 	return nil
 }
 
-// entered is every acquisition path's holder bookkeeping, t from self.
+// entered is every acquisition path's holder bookkeeping, t from self. A
+// PI mutex's holder is recorded here, after the test-and-set, so that no
+// acquisition reads the contended gate word before its CAS takes it.
 func (m *Mutex) entered(mode uint32, t *Thread) {
 	if mode&instrCheck != 0 {
 		m.holder.Store(t.id)
 	}
-	if m.piOn(mode) {
+	if m.g.pi() {
+		if t == nil {
+			t = Self()
+		}
 		m.g.piSetHolder(t)
 	}
 }
@@ -140,7 +145,7 @@ func (m *Mutex) leaving(mode uint32, t *Thread, op string) {
 		m.requireHolder(t, op)
 		m.holder.Store(0)
 	}
-	if m.piOn(mode) {
+	if m.g.pi() {
 		if h := m.g.piClearHolder(); h != nil {
 			h.undonate(&m.g)
 		}

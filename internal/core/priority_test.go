@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -218,5 +219,54 @@ func TestPIDonationTableOverflow(t *testing.T) {
 	}
 	if got := holder.EffectivePriority(); got != 1 {
 		t.Fatalf("after releasing everything, effective = %d, want base 1", got)
+	}
+}
+
+// TestSetPriorityInheritanceOnHeldMutexPanics: the setting flips only on a
+// free mutex. Turning PI off under a boosted holder would strand the
+// boost, since only a PI Release undonates: the holder kept its donor's
+// priority after Release. The flip panics instead, and the mutex, still
+// PI, restores the holder's base priority at its Release.
+func TestSetPriorityInheritanceOnHeldMutexPanics(t *testing.T) {
+	var m Mutex
+	m.SetPriorityInheritance(true)
+	held := make(chan struct{})
+	releaseIt := make(chan struct{})
+	low := ForkPri(1, func() {
+		m.Acquire()
+		close(held)
+		<-releaseIt
+		m.Release()
+	})
+	<-held
+	high := ForkPri(5, func() {
+		m.Acquire()
+		m.Release()
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for low.EffectivePriority() != 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("holder effective priority = %d, want boosted to 5", low.EffectivePriority())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	for _, on := range []bool{false, true} {
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			m.SetPriorityInheritance(on)
+			return nil
+		}()
+		if msg, _ := r.(string); !strings.Contains(msg, "held mutex") {
+			t.Errorf("SetPriorityInheritance(%v) on a held mutex: recovered %v, want a panic naming the held mutex", on, r)
+		}
+	}
+	close(releaseIt)
+	Join(low)
+	Join(high)
+	if got := low.EffectivePriority(); got != 1 {
+		t.Fatalf("after Release, holder effective priority = %d, want restored to 1", got)
+	}
+	if !m.SetPriorityInheritance(false) {
+		t.Fatal("the refused flips changed the setting")
 	}
 }

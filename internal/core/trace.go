@@ -27,8 +27,10 @@ import (
 //
 // The scheme used here makes the stamp and the transition one atomic step:
 //
-//   - The gate's lock word is 64 bits: bit 0 is the lock bit, bits 1..63
-//     carry the stamp of the transition that produced the current value.
+//   - The gate's lock word is 64 bits: bit 0 is the lock bit, bit 1 the
+//     mutex's priority-inheritance setting (every transition carries it
+//     through), and bits 2..63 carry the stamp of the transition that
+//     produced the current value.
 //     Every traced transition is load word → draw stamp → CAS(old, new).
 //     A successful CAS certifies that no other transition touched the word
 //     between the load (hence the draw) and the effect, so for any two
@@ -110,8 +112,8 @@ type traceCtx struct {
 }
 
 var (
-	// traceSeq is the global stamp counter. Stamps fit in 63 bits so they
-	// can share the gate word with the lock bit.
+	// traceSeq is the global stamp counter. Stamps fit in 62 bits so they
+	// can share the gate word with the lock and PI bits.
 	traceSeq atomic.Uint64
 	// traceObjIDs allocates identities for traced primitives, lazily on
 	// first event. IDs are dense-ish and shared across mutexes, semaphores

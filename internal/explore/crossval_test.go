@@ -160,28 +160,26 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestProbeRunBound: the parallel frontier's probe runs that are not
-// counted as schedules are only those that split into several work items,
-// and the probe stops splitting once it holds 4 items per worker. On these
-// litmuses that leaves at most 4·workers uncounted runs per bound. A probe
-// that re-runs the program for a node with a single child took 349 runs
-// for mutex's 180 schedules at k≤1 with 2 workers.
+// TestProbeRunBound: the parallel frontier runs every schedule once. The
+// probe counts its own run, the leftmost schedule of its work item, and
+// hands the other children along the run to the workers, so with no cache
+// and no violation every run is a schedule. A probe that split at the first
+// branching node re-ran each default child uncounted: alert took 166 runs
+// for 91 schedules at k≤1 with 4 workers.
 func TestProbeRunBound(t *testing.T) {
-	for _, name := range []string{"mutex", "future"} {
-		lit := checker.LitmusByName(name)
-		if lit == nil {
-			t.Fatalf("litmus %s missing", name)
+	for _, lit := range checker.Registry() {
+		if lit.ExpectViolation {
+			continue
 		}
 		for _, workers := range []int{2, 4} {
 			for _, por := range []PORMode{POROff, PORSleepSets} {
 				rep := Explore(lit, Options{MaxPreemptions: 1, Budget: testBudget, POR: por, Workers: workers})
 				if rep.Partial || rep.Violation != nil {
-					t.Fatalf("%s: partial or violating exploration: %+v", name, rep)
+					t.Fatalf("%s: partial or violating exploration: %+v", lit.Name, rep)
 				}
-				limit := rep.Schedules() + len(rep.PerK)*4*workers
-				if rep.Runs > limit {
-					t.Errorf("%s por=%d, %d workers: %d runs for %d schedules, want at most %d",
-						name, por, workers, rep.Runs, rep.Schedules(), limit)
+				if rep.Runs != rep.Schedules() {
+					t.Errorf("%s por=%d, %d workers: %d runs for %d schedules, want equal",
+						lit.Name, por, workers, rep.Runs, rep.Schedules())
 				}
 			}
 		}

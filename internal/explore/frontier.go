@@ -14,12 +14,12 @@ import (
 // engine.dfs, a shared atomic counter enforces MaxSchedules, and the first
 // violation cancels the rest of the pool through boundShared.done.
 //
-// Determinism: a probe run that still branches past its prefix is not
-// counted as a schedule (the worker owning the chosen child re-runs and
-// counts it), so every maximal path is counted by exactly one engine and
-// the merged per-bound schedule counts are independent of the worker
-// count. A probe run that does not branch is counted by the probe. With
-// sleep sets on, workers rebuild the sleep/done state of their prefix
+// Determinism: a probe run of an item follows the default past its prefix,
+// so it is the leftmost schedule of the item's subtree, and the probe
+// counts it; every other child along the run becomes a work item. Every
+// maximal path is therefore run and counted by exactly one engine, and the
+// merged per-bound schedule counts are independent of the worker count.
+// With sleep sets on, workers rebuild the sleep/done state of their prefix
 // (engine.buildPrefixPath), so pruning decisions — and therefore counts —
 // also match the serial search. A shared state cache stays sound but makes
 // hit counts (and so schedule counts) timing-dependent. Which violation is
@@ -31,58 +31,33 @@ import (
 func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, workers int, carriers *sim.Carriers) boundResult {
 	var out boundResult
 	probe := newEngine(lit, o, sh, k, carriers)
-	queue := [][]int{nil} // work items: forced prefixes partitioning the space
-	var work [][]int
-	target := workers * 4
-	for len(queue) > 0 && len(queue)+len(work) < target {
+	work := [][]int{nil} // work items: forced prefixes partitioning the space
+	for len(work) > 0 && len(work) < workers*4 {
 		if sh.expired() {
 			out.budgetHit = true
 			break
 		}
-		prefix := queue[0]
-		queue = queue[1:]
+		prefix := work[0]
+		work = work[1:]
 		probe.rec.reset(prefix)
 		res := runProgram(lit, &probe.rec, carriers)
 		out.runs++
 		out.decisions += len(res.Decisions)
-		if res.Violation != nil {
+		switch {
+		case res.Violation != nil:
 			r := res
 			out.violation = &r
+			sh.signalStop()
+			return out
+		case res.Aborted:
+			out.ks.CacheHits++
+		default:
 			sh.countSchedule()
 			out.ks.Schedules++
 			out.ks.MaxDepth = max(out.ks.MaxDepth, len(res.Decisions))
-			sh.signalStop()
-			return out
 		}
-		if res.Aborted {
-			out.ks.CacheHits++
-			continue // the whole subtree is cache-covered
-		}
-		// Split at the first decision past the prefix that branches. The
-		// probe followed the default past the prefix; each affordable,
-		// non-slept alternative there (default included) becomes a child
-		// item. This run itself is NOT counted: the worker owning the
-		// default child will re-run it.
-		dec := res.Decisions
-		n, children := probe.branchPast(dec, len(prefix), &out.ks.Pruned)
-		if children == nil {
-			// Nothing past the prefix branches: this run is the subtree's
-			// only schedule.
-			sh.countSchedule()
-			out.ks.Schedules++
-			out.ks.MaxDepth = max(out.ks.MaxDepth, len(dec))
-			continue
-		}
-		for _, c := range children {
-			child := make([]int, n+1)
-			for j := range n {
-				child[j] = dec[j].Chosen
-			}
-			child[n] = c
-			queue = append(queue, child)
-		}
+		work = probe.splitAlong(res.Decisions, len(prefix), work, &out.ks.Pruned)
 	}
-	work = append(work, queue...)
 	if len(work) == 0 {
 		return out
 	}
@@ -125,27 +100,34 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 	return out
 }
 
-// branchPast walks the probe's latest run down from depth n while each
-// node has a single child, the run's own (default) choice, and returns the
-// first node with several children: its depth and its expandChoices. At
-// the run's end it returns nil children. It adds each node's sleep-pruned
-// alternatives to *pruned (no worker scans these nodes), with the chosen
-// child done, exactly as at exhaustion in the serial search.
-func (en *engine) branchPast(dec []Decision, n int, pruned *int) (int, []int) {
+// splitAlong appends to work one item for every child along the probe's
+// latest run, from depth n down, other than the run's own (default)
+// choice: each affordable, non-slept alternative at each node. With the
+// run itself they partition the subtree of the run's prefix; a run the
+// state cache cut short leaves only the nodes it reached. It adds each
+// node's sleep-pruned alternatives to *pruned (no worker scans these
+// nodes), with the chosen child done, exactly as at exhaustion in the
+// serial search.
+func (en *engine) splitAlong(dec []Decision, n int, work [][]int, pruned *int) [][]int {
 	if n >= len(dec) {
-		return n, nil
+		return work
 	}
 	ns := en.expansionNode(dec, n)
 	for ; n < len(dec); n++ {
 		d := &dec[n]
 		ns.done = idBit(d.CandIDs[d.Chosen])
 		*pruned += countSlept(d, ns, en.k)
-		if ch := expandChoices(d, ns, en.k); len(ch) > 1 {
-			return n, ch
+		for _, c := range alternatives(d, ns, en.k) {
+			child := make([]int, n+1)
+			for j := range n {
+				child[j] = dec[j].Chosen
+			}
+			child[n] = c
+			work = append(work, child)
 		}
 		ns = nodeState{sleep: inheritSleep(ns, d)}
 	}
-	return n, nil
+	return work
 }
 
 // expansionNode reconstructs the sleep state at depth n of the probe's
@@ -163,11 +145,11 @@ func (en *engine) expansionNode(dec []Decision, n int) nodeState {
 	return ns
 }
 
-// expandChoices lists the children the serial search would explore at an
-// expansion node, in exploration order: the probe's (default) choice
-// first, then every affordable, non-slept alternative in canonical order.
-func expandChoices(d *Decision, ns nodeState, k int) []int {
-	out := []int{d.Chosen}
+// alternatives lists the children the serial search would explore at a
+// node of the probe's run besides the run's own (default) choice: every
+// affordable, non-slept alternative, in canonical order.
+func alternatives(d *Decision, ns nodeState, k int) []int {
+	var out []int
 	for i := range d.CandIDs {
 		if i == d.Chosen {
 			continue
