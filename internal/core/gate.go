@@ -272,13 +272,9 @@ func (g *gate) releaseNub(st *gateStats) {
 		g.qlen.Add(-1)
 		w := n.Value
 		if w.claim(reasonWake) {
-			if g.pi() {
-				// Not a transfer — the woken thread retries its
-				// test-and-set and may lose — but the holder identity is
-				// unknown until someone wins, so clear it rather than
-				// leave a stale target for donations.
-				g.piHolder = nil
-			}
+			// Not a transfer: the woken thread retries its test-and-set.
+			// A PI gate's holder was cleared by Mutex.leaving before the
+			// word transition, and may already name a barging acquirer.
 			g.nub.Unlock()
 			w.wake()
 			return

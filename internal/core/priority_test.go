@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -268,5 +269,40 @@ func TestSetPriorityInheritanceOnHeldMutexPanics(t *testing.T) {
 	}
 	if !m.SetPriorityInheritance(false) {
 		t.Fatal("the refused flips changed the setting")
+	}
+}
+
+// TestPIHolderIsTheOccupant: inside every critical section of a PI mutex
+// the recorded donation target is the thread inside. Every acquisition
+// path records its thread after its test-and-set and every release clears
+// it before the word transition, so nothing else may touch it in between:
+// a release that cleared it again after waking a waiter would erase the
+// record of a barging acquirer, whose hold then gets no donation.
+func TestPIHolderIsTheOccupant(t *testing.T) {
+	var m Mutex
+	m.SetPriorityInheritance(true)
+	defer m.SetPriorityInheritance(false)
+	const threads, rounds = 4, 20_000
+	var bad atomic.Int64
+	ts := make([]*Thread, threads)
+	for i := range ts {
+		ts[i] = Fork(func() {
+			self := Self()
+			for range rounds {
+				m.Acquire()
+				m.g.nub.Lock()
+				if m.g.piHolder != self {
+					bad.Add(1)
+				}
+				m.g.nub.Unlock()
+				m.Release()
+			}
+		})
+	}
+	for _, th := range ts {
+		Join(th)
+	}
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d of %d critical sections found another thread, or none, recorded as the PI holder", n, threads*rounds)
 	}
 }

@@ -50,12 +50,11 @@ const (
 // Reuse makes the wake/alert claim races that per-episode allocation used
 // to paper over explicit: a waker that loses the reason CAS may still hold
 // a reference after the blocked call has returned and the waiter has begun
-// a new episode. The state word guards against that: it packs a generation
-// counter above the reason bits, begin() advances the generation, and a
-// claim succeeds only if the state still matches the epoch the claimer
-// captured while the waiter was provably current (under the lock guarding
-// the queue or alert registration the reference came from). A stale claim
-// therefore fails the CAS no matter when it lands.
+// a new episode. So every claim is made under the lock guarding the queue
+// or alert registration the reference came from, while the waiter is
+// provably current; and the state word packs a generation counter above
+// the reason bits, advanced by begin(), so a claim whose load and CAS
+// straddle the start of a new episode fails.
 type waiter struct {
 	// item is the intrusive priority-queue element linking this waiter into
 	// a gate or condition queue. Priority is the blocking thread's effective
@@ -153,38 +152,24 @@ func (w *waiter) endEpisode() {
 }
 
 // begin opens a new episode: the generation advances and the reason bits
-// clear in one store. Safe against stale claimers because their captured
-// epochs carry an older generation and their CASes fail; no claim with the
-// *current* generation can be in flight here, since the previous episode
-// resolved all of them before endEpisode.
+// clear in one store. A claim that loaded the state before this store
+// fails its CAS on the older generation; no claim of the previous episode
+// is still pending, since that episode resolved all of them before
+// endEpisode.
 func (w *waiter) begin() {
 	w.state.Store((w.state.Load() &^ reasonMask) + genStep)
 }
 
-// epoch captures the current state word for a later claimAt, and reports
-// whether the waiter is still unclaimed. Callers must hold the lock that
-// makes their reference to w current (the Nub spin lock for queued
-// waiters, the thread's alertLock for alert registrations); the returned
-// epoch then stays valid for a claimAt issued after the lock is dropped.
-func (w *waiter) epoch() (e uint64, unclaimed bool) {
-	e = w.state.Load()
-	return e, e&reasonMask == reasonNone
-}
-
-// claimAt attempts to claim the waiter for reason against a captured
-// epoch, reporting whether the caller won. The winner must subsequently
-// call wake exactly once (self-claims, where the blocked thread claims its
-// own waiter before parking, skip the wake). A claim against a stale epoch
-// — the episode ended and a new one began — fails.
-func (w *waiter) claimAt(e uint64, reason uint64) bool {
-	return w.state.CompareAndSwap(e, e|reason)
-}
-
-// claim is epoch+claimAt for callers whose reference is current for the
-// whole call (they hold the guarding lock, or the waiter is their own).
+// claim attempts to claim the waiter for reason, reporting whether the
+// caller won. The winner must subsequently call wake exactly once
+// (self-claims, where the blocked thread claims its own waiter before
+// parking, skip the wake). The caller's reference must be current for the
+// whole call: it holds the lock guarding it (the Nub spin lock for queued
+// waiters, the thread's alertLock for alert registrations), or the waiter
+// is its own.
 func (w *waiter) claim(reason uint64) bool {
-	e, unclaimed := w.epoch()
-	return unclaimed && w.claimAt(e, reason)
+	e := w.state.Load()
+	return e&reasonMask == reasonNone && w.state.CompareAndSwap(e, e|reason)
 }
 
 // reason returns the claimed reason bits (reasonNone if unclaimed).

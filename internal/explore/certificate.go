@@ -44,7 +44,7 @@ func certificateFromRun(lit *checker.Litmus, res RunResult) *Certificate {
 	}
 	for i, d := range res.Decisions {
 		if d.Chosen != d.Default {
-			c.Choices = append(c.Choices, Choice{Step: i, Thread: d.Cands[d.Chosen]})
+			c.Choices = append(c.Choices, Choice{Step: i, Thread: res.threads[d.CandIDs[d.Chosen]].Name()})
 		}
 	}
 	return c

@@ -164,20 +164,9 @@ func earlierSiblings(d *Decision, ns nodeState, k int) uint64 {
 	}
 	bits := idBit(d.CandIDs[d.Default])
 	for i := 0; i < d.Chosen; i++ {
-		if i == d.Default {
-			continue
+		if i != d.Default && ns.sleep&idBit(d.CandIDs[i]) == 0 && d.affordable(i, k) {
+			bits |= idBit(d.CandIDs[i])
 		}
-		if ns.sleep&idBit(d.CandIDs[i]) != 0 {
-			continue
-		}
-		cost := 0
-		if d.PrevRunnable {
-			cost = 1
-		}
-		if d.CumPre+cost > k {
-			continue
-		}
-		bits |= idBit(d.CandIDs[i])
 	}
 	return bits
 }
@@ -189,14 +178,7 @@ func countSlept(d *Decision, ns nodeState, k int) int {
 	n := 0
 	for i, id := range d.CandIDs {
 		b := idBit(id)
-		if ns.sleep&b == 0 || ns.done&b != 0 {
-			continue
-		}
-		cost := 0
-		if d.PrevRunnable && i != d.Default {
-			cost = 1
-		}
-		if d.CumPre+cost <= k {
+		if ns.sleep&b != 0 && ns.done&b == 0 && d.affordable(i, k) {
 			n++
 		}
 	}

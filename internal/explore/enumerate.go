@@ -356,14 +356,7 @@ func (en *engine) buildPrefixPath(dec []Decision, n int) {
 // the node is exhausted.
 func (en *engine) nextAlt(d *Decision, ns nodeState) int {
 	try := func(idx int) bool {
-		if (ns.done|ns.sleep)&idBit(d.CandIDs[idx]) != 0 {
-			return false
-		}
-		cost := 0
-		if d.PrevRunnable && idx != d.Default {
-			cost = 1
-		}
-		return d.CumPre+cost <= en.k
+		return (ns.done|ns.sleep)&idBit(d.CandIDs[idx]) == 0 && d.affordable(idx, en.k)
 	}
 	if try(d.Default) {
 		return d.Default

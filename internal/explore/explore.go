@@ -53,29 +53,40 @@ type Violation struct {
 func (v *Violation) Error() string { return v.Kind + ": " + v.Detail }
 
 // Decision records one controlled scheduling decision: the runnable
-// candidates (thread names in canonical ascending-ID order), which the
-// default policy would have picked, and which was picked. The enumeration
-// engine additionally records what its optimisations need: candidate
-// thread IDs and declared next-step footprints (sleep-set pruning), the
-// footprint of the edge executed after the decision, the machine-state
-// fingerprint at the decision point (state cache), and the preemptions
-// spent strictly before it.
+// candidates (thread IDs in canonical ascending order), which the default
+// policy would have picked, which was picked, and the preemptions spent
+// strictly before it. The enumeration engine additionally records what
+// its optimisations need: declared next-step footprints (sleep-set
+// pruning), the footprint of the edge executed after the decision, and
+// the machine-state fingerprint at the decision point (state cache).
 type Decision struct {
-	Cands        []string
+	CandIDs      []int
 	Chosen       int
 	Default      int
 	PrevRunnable bool // the previously-running thread was a candidate
+	CumPre       int
 
-	CandIDs []int           // candidate thread IDs (parallel to Cands)
-	CandFPs []sim.Footprint // declared next steps, when POR is on
+	CandFPs []sim.Footprint // declared next steps (parallel to CandIDs), when POR is on
 	Edge    edgeFP          // steps executed between this decision and the next
 	H1, H2  uint64          // state fingerprint, when a cache is attached
-	CumPre  int             // preemptions spent strictly before this decision
 }
 
 // Preempted reports whether this decision switched away from a thread
 // that could have kept running — the context switches the k-bound counts.
-func (d Decision) Preempted() bool { return d.PrevRunnable && d.Chosen != d.Default }
+func (d Decision) Preempted() bool { return d.cost(d.Chosen) == 1 }
+
+// cost is the preemptions choosing candidate i spends: one for a
+// non-default choice where the previous thread could have kept running.
+func (d *Decision) cost(i int) int {
+	if d.PrevRunnable && i != d.Default {
+		return 1
+	}
+	return 0
+}
+
+// affordable reports whether choosing candidate i keeps the schedule
+// within the context bound k.
+func (d *Decision) affordable(i, k int) bool { return d.CumPre+d.cost(i) <= k }
 
 // recorder implements sim.Config.Choose for one run, recording every
 // decision and delegating the choice to whichever mode is set: a forced
@@ -106,9 +117,8 @@ type recorder struct {
 	preempts  int
 	curEdge   edgeFP
 
-	nameArena []string
-	idArena   []int
-	fpArena   []sim.Footprint
+	idArena []int
+	fpArena []sim.Footprint
 }
 
 // reset prepares the recorder for another run under a new forced prefix,
@@ -116,7 +126,6 @@ type recorder struct {
 func (r *recorder) reset(forced []int) {
 	r.forced = forced
 	r.decisions = r.decisions[:0]
-	r.nameArena = r.nameArena[:0]
 	r.idArena = r.idArena[:0]
 	r.fpArena = r.fpArena[:0]
 	r.diverged = false
@@ -153,12 +162,10 @@ func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
 			return 0
 		}
 	}
-	nb, ib, fb := len(r.nameArena), len(r.idArena), len(r.fpArena)
+	ib, fb := len(r.idArena), len(r.fpArena)
 	for _, t := range cands {
-		r.nameArena = append(r.nameArena, t.Name())
 		r.idArena = append(r.idArena, t.ID())
 	}
-	names := r.nameArena[nb:len(r.nameArena):len(r.nameArena)]
 	ids := r.idArena[ib:len(r.idArena):len(r.idArena)]
 	def := 0
 	prevRunnable := false
@@ -183,8 +190,8 @@ func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
 		}
 	case r.overrides != nil:
 		if name, ok := r.overrides[step]; ok {
-			for i, n := range names {
-				if n == name {
+			for i, t := range cands {
+				if t.Name() == name {
 					chosen = i
 					break
 				}
@@ -204,14 +211,13 @@ func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
 		}
 	}
 	d := Decision{
-		Cands:        names,
+		CandIDs:      ids,
 		Chosen:       chosen,
 		Default:      def,
 		PrevRunnable: prevRunnable,
-		CandIDs:      ids,
+		CumPre:       r.preempts,
 		H1:           h1,
 		H2:           h2,
-		CumPre:       r.preempts,
 	}
 	if r.por {
 		for _, t := range cands {
@@ -219,9 +225,7 @@ func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
 		}
 		d.CandFPs = r.fpArena[fb:len(r.fpArena):len(r.fpArena)]
 	}
-	if prevRunnable && chosen != def {
-		r.preempts++
-	}
+	r.preempts += d.cost(chosen)
 	r.decisions = append(r.decisions, d)
 	return chosen
 }
@@ -236,6 +240,8 @@ type RunResult struct {
 	Steps       uint64
 	Diverged    bool
 	Aborted     bool // the state cache cut the run short (suffix already covered)
+
+	threads []*sim.T // the run's threads by ID, for naming certificate choices
 }
 
 // maxRunSteps cuts off livelocked schedules; litmus runs are a few
@@ -277,6 +283,7 @@ func runProgram(lit *checker.Litmus, rec *recorder, carriers *sim.Carriers) RunR
 		Steps:     k.Steps(),
 		Diverged:  rec.diverged,
 		Aborted:   rec.aborted,
+		threads:   k.Threads(),
 	}
 	for _, d := range rec.decisions {
 		if d.Preempted() {

@@ -151,17 +151,7 @@ func (en *engine) expansionNode(dec []Decision, n int) nodeState {
 func alternatives(d *Decision, ns nodeState, k int) []int {
 	var out []int
 	for i := range d.CandIDs {
-		if i == d.Chosen {
-			continue
-		}
-		if ns.sleep&idBit(d.CandIDs[i]) != 0 {
-			continue
-		}
-		cost := 0
-		if d.PrevRunnable && i != d.Default {
-			cost = 1
-		}
-		if d.CumPre+cost <= k {
+		if i != d.Chosen && ns.sleep&idBit(d.CandIDs[i]) == 0 && d.affordable(i, k) {
 			out = append(out, i)
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -205,6 +206,54 @@ func TestTASAwaitManyWaiters(t *testing.T) {
 	}
 	if acquired != 12 {
 		t.Fatalf("acquired %d times, want 12", acquired)
+	}
+}
+
+// TestWordReusedAcrossKernels: a word that one kernel has touched keeps
+// only its value in the next: that kernel's next ID, scope 0, and none of
+// the first kernel's waiters, so a clear there wakes nothing.
+func TestWordReusedAcrossKernels(t *testing.T) {
+	var lock Word
+	k1 := NewKernel(Config{MaxSteps: 10_000})
+	k1.SetWordScope(&lock, 1<<3)
+	k1.Spawn("stuck", func(e *Env) {
+		e.TASAwait(&lock)
+		e.TASAwait(&lock) // blocks for good: the run deadlocks
+	})
+	var de *DeadlockError
+	if err := k1.Run(); !errors.As(err, &de) {
+		t.Fatalf("first run = %v, want a deadlock", err)
+	}
+
+	var first Word
+	var fps []Footprint
+	k2 := NewKernel(Config{MaxSteps: 10_000, OnStep: func(_ *T, fp Footprint) {
+		if fp.Kind != AccessNone {
+			fps = append(fps, fp)
+		}
+	}})
+	k2.Spawn("clear", func(e *Env) {
+		e.Load(&first)
+		if v := e.Load(&lock); v != 1 {
+			t.Errorf("value = %d, want the 1 the first run left", v)
+		}
+		e.Store(&lock, 0)
+	})
+	if err := k2.Run(); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	want := []Footprint{
+		{Words: [2]uint32{1, 0}, Kind: AccessRead},
+		{Words: [2]uint32{2, 0}, Kind: AccessRead},
+		{Words: [2]uint32{2, 0}, Kind: AccessWrite},
+	}
+	if len(fps) != len(want) {
+		t.Fatalf("footprints = %+v, want %+v", fps, want)
+	}
+	for i := range want {
+		if fps[i] != want[i] {
+			t.Errorf("footprint %d = %+v, want %+v", i, fps[i], want[i])
+		}
 	}
 }
 

@@ -5,8 +5,19 @@ import "threads/internal/queue"
 // Word is a cell of simulated shared memory. All access goes through an
 // Env, which charges instruction costs and yields to the kernel so the
 // access is an interleaving point. The zero value is a Word containing 0.
+//
+// Besides its value a word carries what the kernel that last touched it
+// knows about it: its registration ID and emission-scope mask
+// (footprint.go), and the threads blocked on it. A word first touched by
+// another kernel is registered afresh there and keeps only its value.
 type Word struct {
-	v uint64
+	v     uint64
+	id    uint32 // 1-based position in the kernel's words; 0 = unregistered
+	scope uint64
+	// awaiting lists the threads blocked in TASAwait on the word, and
+	// watchers the AwaitChange registrations naming it.
+	awaiting []*T
+	watchers []*watcher
 }
 
 // Peek reads the word without simulating an access. For assertions and
@@ -61,11 +72,12 @@ func (e *Env) yieldPoint(op opKind, cost uint64, fp Footprint) {
 // queues — run non-preemptible, so this conservatively marks every step
 // with hidden scheduler effects).
 func (e *Env) declare(w *Word, kind AccessKind) Footprint {
+	id := e.k.wordID(w) // before reading the scope: registration resets it
 	return Footprint{
-		Words: [2]uint32{e.k.wordID(w), 0},
+		Words: [2]uint32{id, 0},
 		Kind:  kind,
 		Sched: !e.t.preemptible,
-		Scope: e.k.wordScope[w],
+		Scope: w.scope,
 	}
 }
 
@@ -134,10 +146,7 @@ func (e *Env) TASAwait(w *Word) {
 			return
 		}
 		e.t.obs = obsMix(e.t.obs, w.v)
-		if e.k.awaiting == nil {
-			e.k.awaiting = make(map[*Word][]*T)
-		}
-		e.k.awaiting[w] = append(e.k.awaiting[w], e.t)
+		w.awaiting = append(w.awaiting, e.t)
 		e.t.blockReason = "awaiting word clear"
 		e.t.resumeFP = fp
 		e.yieldPoint(opBlock, 0, fp)
@@ -145,7 +154,7 @@ func (e *Env) TASAwait(w *Word) {
 		// Deregister in case the deschedule was consumed by a pending
 		// wakeup that arrived for another reason; a stale registration
 		// would later wake us out of thin air.
-		e.unawait(w)
+		w.unawait(e.t)
 	}
 }
 
@@ -169,13 +178,14 @@ type WordVal struct {
 func (e *Env) AwaitChange(wv ...WordVal) {
 	fp := Footprint{Kind: AccessRead, Sched: !e.t.preemptible}
 	for i, p := range wv {
+		id := e.k.wordID(p.W)
 		if i < len(fp.Words) {
-			fp.Words[i] = e.k.wordID(p.W)
+			fp.Words[i] = id
 		} else {
 			// More words than footprint slots: go conservative.
 			fp.Scope = ^uint64(0)
 		}
-		fp.Scope |= e.k.wordScope[p.W]
+		fp.Scope |= p.W.scope
 	}
 	for {
 		e.yieldPoint(opInstr, e.k.cost.Load*uint64(len(wv)), fp)
@@ -185,18 +195,15 @@ func (e *Env) AwaitChange(wv ...WordVal) {
 				return
 			}
 		}
-		if e.k.watchers == nil {
-			e.k.watchers = make(map[*Word][]*watcher)
-		}
 		wr := &watcher{t: e.t, wv: wv}
 		for _, p := range wv {
-			e.k.watchers[p.W] = append(e.k.watchers[p.W], wr)
+			p.W.watchers = append(p.W.watchers, wr)
 		}
 		e.t.blockReason = "awaiting word change"
 		e.t.resumeFP = fp
 		e.yieldPoint(opBlock, 0, fp)
 		e.t.blockReason = ""
-		e.unwatch(wr)
+		wr.unwatch()
 	}
 }
 
@@ -209,12 +216,11 @@ type watcher struct {
 // notifyWatchers wakes every AwaitChange watcher of w whose predicate now
 // holds (some watched word changed from its recorded value).
 func (e *Env) notifyWatchers(w *Word) {
-	ws := e.k.watchers[w]
-	if len(ws) == 0 {
+	if len(w.watchers) == 0 {
 		return
 	}
 	var woken []*watcher
-	for _, wr := range ws {
+	for _, wr := range w.watchers {
 		for _, p := range wr.wv {
 			if p.W.v != p.Old {
 				woken = append(woken, wr)
@@ -223,45 +229,37 @@ func (e *Env) notifyWatchers(w *Word) {
 		}
 	}
 	for _, wr := range woken {
-		e.unwatch(wr)
+		wr.unwatch()
 		e.MakeReady(wr.t)
 	}
 }
 
-// unwatch removes wr from every watch list it is registered on.
-func (e *Env) unwatch(wr *watcher) {
+// unwatch removes wr from the watch list of every word it names.
+func (wr *watcher) unwatch() {
 	for _, p := range wr.wv {
-		ws := e.k.watchers[p.W]
-		for i, x := range ws {
+		for i, x := range p.W.watchers {
 			if x == wr {
-				e.k.watchers[p.W] = append(ws[:i], ws[i+1:]...)
+				p.W.watchers = append(p.W.watchers[:i], p.W.watchers[i+1:]...)
 				break
 			}
-		}
-		if len(e.k.watchers[p.W]) == 0 {
-			delete(e.k.watchers, p.W)
 		}
 	}
 }
 
 // wakeAwaiters readies every thread blocked in TASAwait on w.
 func (e *Env) wakeAwaiters(w *Word) {
-	ts := e.k.awaiting[w]
-	if len(ts) == 0 {
-		return
-	}
-	delete(e.k.awaiting, w)
+	ts := w.awaiting
+	w.awaiting = ts[:0] // MakeReady never registers, so ts stays intact
 	for _, t := range ts {
 		e.MakeReady(t)
 	}
 }
 
-// unawait removes the calling thread from w's await list if still present.
-func (e *Env) unawait(w *Word) {
-	ts := e.k.awaiting[w]
-	for i, t := range ts {
-		if t == e.t {
-			e.k.awaiting[w] = append(ts[:i], ts[i+1:]...)
+// unawait removes t from w's await list if still present.
+func (w *Word) unawait(t *T) {
+	for i, x := range w.awaiting {
+		if x == t {
+			w.awaiting = append(w.awaiting[:i], w.awaiting[i+1:]...)
 			return
 		}
 	}

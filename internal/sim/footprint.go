@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"math/bits"
-	"sort"
 )
 
 // This file gives the simulator the two introspection surfaces the schedule
@@ -83,21 +82,18 @@ var ErrAborted = errors.New("sim: run aborted")
 // call from inside a Choose or OnStep hook.
 func (k *Kernel) Abort() { k.aborted = true }
 
-// wordID returns w's stable ID, assigning the next free one on first use.
-// IDs are assigned in first-declared-access order, which is deterministic
-// for a fixed program along a fixed schedule prefix — the only place the
-// explorer compares them.
+// wordID returns w's ID in k, registering w on its first access by k. IDs
+// are assigned in first-access order, which is deterministic for a fixed
+// program along a fixed schedule prefix — the only place the explorer
+// compares them. A word registered by another kernel is registered afresh
+// and keeps only its value.
 func (k *Kernel) wordID(w *Word) uint32 {
-	if id, ok := k.wordIDs[w]; ok {
-		return id
+	if w.id == 0 || int(w.id) > len(k.words) || k.words[w.id-1] != w {
+		*w = Word{v: w.v}
+		k.words = append(k.words, w)
+		w.id = uint32(len(k.words)) // IDs start at 1; 0 means "no word"
 	}
-	if k.wordIDs == nil {
-		k.wordIDs = make(map[*Word]uint32)
-	}
-	k.words = append(k.words, w)
-	id := uint32(len(k.words)) // IDs start at 1; 0 means "no word"
-	k.wordIDs[w] = id
-	return id
+	return w.id
 }
 
 // SetWordScope associates an emission-scope mask with w: the set of
@@ -106,11 +102,8 @@ func (k *Kernel) wordID(w *Word) uint32 {
 // (see World scope registration); words never named in emissions keep
 // scope 0. Accessing a word never registered is fine — its scope is 0.
 func (k *Kernel) SetWordScope(w *Word, scope uint64) {
-	if k.wordScope == nil {
-		k.wordScope = make(map[*Word]uint64)
-	}
-	k.wordScope[w] = scope
 	k.wordID(w) // register now so fingerprints include it from the start
+	w.scope = scope
 }
 
 // AddDigester registers fn to be called by Fingerprint so layers above the
@@ -154,7 +147,23 @@ func (k *Kernel) Fingerprint() (uint64, uint64) {
 	for _, w := range k.words {
 		h.Add(w.v)
 	}
-	k.hashWaitMaps(&h)
+	// The wait sets, in word-ID order: TASAwait's, then AwaitChange's.
+	for _, w := range k.words {
+		if len(w.awaiting) > 0 {
+			h.Add(uint64(w.id) | 1<<40)
+			for _, t := range w.awaiting {
+				h.Add(uint64(t.id))
+			}
+		}
+	}
+	for _, w := range k.words {
+		if len(w.watchers) > 0 {
+			h.Add(uint64(w.id) | 1<<41)
+			for _, wr := range w.watchers {
+				h.Add(uint64(wr.t.id))
+			}
+		}
+	}
 	if k.lastRun != nil {
 		h.Add(uint64(k.lastRun.id) + 1)
 	} else {
@@ -164,43 +173,6 @@ func (k *Kernel) Fingerprint() (uint64, uint64) {
 		fn(&h)
 	}
 	return h.Hi, h.Lo
-}
-
-// hashWaitMaps folds the awaiting and watcher registrations into h in
-// word-ID order (map iteration order must not leak into the hash).
-func (k *Kernel) hashWaitMaps(h *Hash128) {
-	if len(k.awaiting) > 0 {
-		ids := make([]int, 0, len(k.awaiting))
-		byID := make(map[int]*Word, len(k.awaiting))
-		for w := range k.awaiting {
-			id := int(k.wordID(w))
-			ids = append(ids, id)
-			byID[id] = w
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			h.Add(uint64(id) | 1<<40)
-			for _, t := range k.awaiting[byID[id]] {
-				h.Add(uint64(t.id))
-			}
-		}
-	}
-	if len(k.watchers) > 0 {
-		ids := make([]int, 0, len(k.watchers))
-		byID := make(map[int]*Word, len(k.watchers))
-		for w := range k.watchers {
-			id := int(k.wordID(w))
-			ids = append(ids, id)
-			byID[id] = w
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			h.Add(uint64(id) | 1<<41)
-			for _, wr := range k.watchers[byID[id]] {
-				h.Add(uint64(wr.t.id))
-			}
-		}
-	}
 }
 
 // Hash128 is an incremental 128-bit FNV-1a-style hash over 64-bit values

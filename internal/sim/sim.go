@@ -269,15 +269,9 @@ type Kernel struct {
 	ended    bool
 	err      error
 	panicked any
-	// awaiting maps a Word to the threads blocked in TASAwait on it.
-	awaiting map[*Word][]*T
-	// watchers maps a Word to the threads blocked in AwaitChange on it.
-	watchers map[*Word][]*watcher
-	// words and wordIDs register every shared word in first-access order;
-	// wordScope carries the emission-scope masks (see footprint.go).
+	// words registers every shared word in first-access order: words[i]
+	// has ID i+1 (see footprint.go).
 	words     []*Word
-	wordIDs   map[*Word]uint32
-	wordScope map[*Word]uint64
 	digesters []func(*Hash128)
 	aborted   bool
 }

@@ -117,7 +117,7 @@ func (c *Condition) blockAlertable(e *sim.Env, i uint64, reason string) (alerted
 		return false
 	}
 	c.q.push(e, self)
-	st.alertTgt = &alertTarget{q: &c.q}
+	st.alertTgt = &c.q
 	w.nubUnlock(e)
 	w.Stats.WaitPark++
 	e.Deschedule(reason)

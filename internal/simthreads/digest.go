@@ -77,21 +77,21 @@ func (w *World) digest(h *sim.Hash128) {
 			h.Add(0xb0b0 << 16)
 		}
 	}
-	for _, t := range w.k.Threads() {
+	for id, t := range w.k.Threads() {
 		// Effective priority orders the ready pool and the gate queues.
 		h.Add(0x9d9d<<32 | uint64(uint32(int32(t.Priority()))))
-		st, ok := w.states[t]
-		if !ok {
+		if id >= len(w.states) || w.states[id] == nil {
 			h.Add(0)
 			continue
 		}
+		st := w.states[id]
 		f := uint64(1)
 		if st.alerted {
 			f |= 2
 		}
 		f |= uint64(st.wakeup) << 2
 		if st.alertTgt != nil {
-			f |= uint64(st.alertTgt.q.id) << 8
+			f |= uint64(st.alertTgt.id) << 8
 		}
 		if st.handoffEmit != nil {
 			f |= 1 << 32

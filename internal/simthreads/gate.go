@@ -113,7 +113,7 @@ func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAle
 		}
 		g.q.push(e, self)
 		e.Store(&g.qne, 1)
-		st.alertTgt = &alertTarget{q: &g.q}
+		st.alertTgt = &g.q
 		if e.Load(&g.lockBit) == 0 {
 			g.q.remove(e, self)
 			if g.q.empty() {

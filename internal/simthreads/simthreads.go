@@ -50,8 +50,10 @@ type World struct {
 	k *Kernel
 	// nub is the global spin-lock bit protecting all Nub data structures.
 	nub sim.Word
-	// states maps each simulated thread to its synchronization state.
-	states map[*sim.T]*tstate
+	// states holds each simulated thread's synchronization state, indexed
+	// by its dense kernel ID; nil until the thread first touches a
+	// primitive.
+	states []*tstate
 	// traced enables spec-action emission.
 	traced bool
 	// ids hands out spec-level object identities for tracing.
@@ -95,7 +97,7 @@ type tstate struct {
 	id       spec.ThreadID
 	alerted  bool
 	wakeup   wakeReason
-	alertTgt *alertTarget // non-nil while blocked alertably
+	alertTgt *tqueue // the queue it sleeps on while blocked alertably
 	// handoffEmit is the blocked acquisition's linearization-point action,
 	// stashed (under the Nub spin lock, before descheduling) so a direct
 	// hand-off can run it in the RELEASER's slice: the release and the
@@ -120,12 +122,6 @@ const (
 	wakeAlert               // woken by Alert
 	wakeHandoff             // woken holding: the releaser transferred the gate
 )
-
-// alertTarget records where an alertably-blocked thread can be found so
-// Alert can remove it; q is the queue it sleeps on.
-type alertTarget struct {
-	q *tqueue
-}
 
 // tqueue is a FIFO of simulated threads, manipulated only under the Nub
 // spin lock; each operation charges queueOpCost instructions. The id
@@ -177,7 +173,7 @@ func NewWorld(cfg sim.Config) (*World, *Kernel) {
 	k := sim.NewKernel(cfg)
 	w := &World{
 		k:      k,
-		states: make(map[*sim.T]*tstate),
+		states: make([]*tstate, 0, 8), // a litmus program's threads: one allocation
 		traced: cfg.Trace != nil,
 	}
 	// Anything may be emitted under the Nub spin lock, so its word carries
@@ -191,13 +187,17 @@ func NewWorld(cfg sim.Config) (*World, *Kernel) {
 // state returns (creating on demand) the synchronization state of t.
 // Creation is safe anywhere: the simulator serializes all execution.
 func (w *World) state(t *sim.T) *tstate {
-	st, ok := w.states[t]
-	if !ok {
+	id := t.ID()
+	if id >= len(w.states) {
+		w.states = append(w.states, make([]*tstate, id+1-len(w.states))...)
+	}
+	st := w.states[id]
+	if st == nil {
 		// spec IDs are 1-based; 0 is NIL. basePri is the thread's priority
 		// at first contact: no donation can target a thread before it has a
 		// tstate, so the current priority is the undonated base.
-		st = &tstate{id: spec.ThreadID(t.ID() + 1), basePri: t.Priority()}
-		w.states[t] = st
+		st = &tstate{id: spec.ThreadID(id + 1), basePri: t.Priority()}
+		w.states[id] = st
 	}
 	return st
 }
