@@ -1,6 +1,7 @@
 # Development targets. `make tier1` is the gate every change must pass:
 # build, vet, the root, core, spin-lock, derived and simulator packages
-# under the race detector, and the full suite.
+# and the explorer's worker test under the race detector, and the full
+# suite.
 
 GO ?= go
 
@@ -25,8 +26,11 @@ THREADSVET_FLAGS ?=
 threadsvet:
 	$(GO) run ./cmd/threadsvet $(THREADSVET_FLAGS) ./...
 
+# The whole explore package is too slow under the race detector; its
+# short worker test checks that no two frontier workers share a runner.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/spinlock/... ./derived/... ./internal/sim/...
+	$(GO) test -race -run TestWorkerRunners ./internal/explore
 
 test:
 	$(GO) test ./...

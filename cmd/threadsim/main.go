@@ -318,8 +318,17 @@ func runReplay(c *config) int {
 			return 1
 		}
 		res := explore.Replay(lit, cert)
-		fmt.Printf("%s: litmus %s, %d forced decisions, %d decision points, %d instructions\n",
-			c.replayPath, cert.Litmus, len(cert.Choices), len(res.Decisions), res.Steps)
+		fmt.Printf("%s: litmus %s, %d forced decisions, %d not applied, %d decision points, %d instructions\n",
+			c.replayPath, cert.Litmus, len(cert.Choices), res.Unapplied, len(res.Decisions), res.Steps)
+		if res.Unapplied > 0 {
+			// A choice that names no candidate at its step, or a step the
+			// run never reaches, means the certificate no longer describes
+			// this litmus; whatever the run did, it is not the recorded
+			// schedule.
+			fmt.Printf("FAILED: %d of %d certificate choices did not apply (litmus changed since recording?)\n",
+				res.Unapplied, len(cert.Choices))
+			return 1
+		}
 		switch {
 		case res.Violation == nil && cert.Violation == "":
 			fmt.Printf("schedule replayed clean\n")

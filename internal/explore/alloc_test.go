@@ -37,9 +37,10 @@ func recordedDecisions(t testing.TB, name string) []Decision {
 	if lit == nil {
 		t.Fatalf("litmus %s missing", name)
 	}
+	h := newRunner()
+	defer h.close()
 	var rec recorder
-	rec.reset(nil)
-	res := runProgram(lit, &rec, nil)
+	res := h.run(lit, &rec)
 	if len(res.Decisions) == 0 {
 		t.Fatal("run recorded no decisions")
 	}

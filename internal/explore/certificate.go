@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"threads/internal/checker"
-	"threads/internal/sim"
 	"threads/internal/trace"
 )
 
@@ -81,15 +80,24 @@ func IsCertificate(data []byte) bool {
 	return err == nil
 }
 
-// Replay runs the certificate's schedule on its litmus program.
-func Replay(lit *checker.Litmus, c *Certificate) RunResult { return replay(lit, c, nil) }
+// Replay runs the certificate's schedule on its litmus program. The
+// result counts, in Unapplied, the choices that did not apply: a stale
+// certificate can replay clean only by leaving some of its choices out.
+func Replay(lit *checker.Litmus, c *Certificate) RunResult {
+	h := newRunner()
+	defer h.close()
+	return replay(lit, c, h)
+}
 
-func replay(lit *checker.Litmus, c *Certificate, carriers *sim.Carriers) RunResult {
+func replay(lit *checker.Litmus, c *Certificate, h *runner) RunResult {
 	ov := make(map[int]string, len(c.Choices))
 	for _, ch := range c.Choices {
 		ov[ch.Step] = ch.Thread
 	}
-	return runProgram(lit, &recorder{overrides: ov}, carriers)
+	rec := &recorder{overrides: ov}
+	res := h.run(lit, rec)
+	res.Unapplied = len(c.Choices) - rec.applied
+	return res
 }
 
 // ReplayTraceBytes replays the certificate and serializes the resulting
@@ -108,14 +116,17 @@ func ReplayTraceBytes(lit *checker.Litmus, c *Certificate) ([]byte, RunResult, e
 // first in halving chunks, then one at a time to a fixpoint — keeping a
 // drop only while a violation of the same kind still reproduces. The
 // result replays to the recorded failure with as few forced decisions as
-// the greedy search finds (not necessarily the global minimum).
+// the greedy search finds (not necessarily the global minimum). A trial
+// that drops a choice shifts the steps the later ones meet, so trials
+// tolerate choices that do not apply; a choice left at the fixpoint
+// applies, since dropping one that does not would change nothing.
 func Minimize(lit *checker.Litmus, c *Certificate) *Certificate {
-	var carriers sim.Carriers
-	defer carriers.Close()
+	h := newRunner()
+	defer h.close()
 	reproduces := func(choices []Choice) (*Violation, bool) {
 		t := *c
 		t.Choices = choices
-		res := replay(lit, &t, &carriers)
+		res := replay(lit, &t, h)
 		return res.Violation, res.Violation != nil && res.Violation.Kind == c.Violation
 	}
 	if c.Violation == "" {

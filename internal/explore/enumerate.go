@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"threads/internal/checker"
-	"threads/internal/sim"
 )
 
 // Options parameterizes bounded-exhaustive exploration.
@@ -109,15 +108,15 @@ func Explore(lit *checker.Litmus, o Options) *Report {
 	if o.Budget > 0 {
 		deadline = start.Add(o.Budget)
 	}
-	var carriers sim.Carriers
-	defer carriers.Close()
+	h := newRunner() // the serial engines' and the probes', bound after bound
+	defer h.close()
 	for k := 0; k <= o.MaxPreemptions; k++ {
 		sh := &boundShared{deadline: deadline, maxSched: o.MaxSchedules, done: make(chan struct{})}
 		var br boundResult
 		if workers > 1 {
-			br = exploreBoundParallel(lit, &o, sh, k, workers, &carriers)
+			br = exploreBoundParallel(lit, &o, sh, k, workers, h)
 		} else {
-			en := newEngine(lit, &o, sh, k, &carriers)
+			en := newEngine(lit, &o, sh, k, h)
 			br = en.dfs(nil)
 		}
 		br.ks.K = k
@@ -227,24 +226,31 @@ func betterViolation(a, b *RunResult) *RunResult {
 
 // engine is one depth-first enumerator: a reusable recorder plus the
 // per-decision-point sleep/done bookkeeping along the current path. Its
-// runs take their carriers from the pool of the goroutine it runs on.
+// runs use the runner of the goroutine it runs on.
 type engine struct {
-	lit      *checker.Litmus
-	o        *Options
-	sh       *boundShared
-	k        int
-	carriers *sim.Carriers
-	rec      recorder
-	path     []nodeState
-	forced   []int
+	lit    *checker.Litmus
+	o      *Options
+	sh     *boundShared
+	k      int
+	h      *runner
+	rec    recorder
+	path   []nodeState
+	forced []int
 }
 
-func newEngine(lit *checker.Litmus, o *Options, sh *boundShared, k int, carriers *sim.Carriers) *engine {
-	en := &engine{lit: lit, o: o, sh: sh, k: k, carriers: carriers}
+func newEngine(lit *checker.Litmus, o *Options, sh *boundShared, k int, h *runner) *engine {
+	en := &engine{lit: lit, o: o, sh: sh, k: k, h: h}
 	en.rec.por = o.POR == PORSleepSets
 	en.rec.cache = o.Cache
 	en.rec.bound = k
 	return en
+}
+
+// run runs the forced prefix once, keeping the last run's first keep
+// decisions (see recorder.reset).
+func (en *engine) run(keep int) RunResult {
+	en.rec.reset(en.forced, keep)
+	return en.h.run(en.lit, &en.rec)
 }
 
 // dfs exhausts the subtree rooted at the forced prefix: every maximal
@@ -252,12 +258,13 @@ func newEngine(lit *checker.Litmus, o *Options, sh *boundShared, k int, carriers
 // only at depths ≥ len(prefix). A nil prefix explores the whole bound.
 //
 // After a violation the engine must not run again (the violating
-// RunResult aliases the recorder's arenas).
+// RunResult aliases the recorder and the runner).
 func (en *engine) dfs(prefix []int) boundResult {
 	var out boundResult
 	floor := len(prefix)
 	en.forced = append(en.forced[:0], prefix...)
 	en.path = en.path[:0]
+	keep := 0
 	for {
 		if en.sh.stopped() {
 			break
@@ -270,8 +277,7 @@ func (en *engine) dfs(prefix []int) boundResult {
 			out.capHit = true
 			break
 		}
-		en.rec.reset(en.forced)
-		res := runProgram(en.lit, &en.rec, en.carriers)
+		res := en.run(keep)
 		out.runs++
 		out.decisions += len(res.Decisions)
 		switch {
@@ -287,54 +293,64 @@ func (en *engine) dfs(prefix []int) boundResult {
 			out.ks.Schedules++
 			out.ks.MaxDepth = max(out.ks.MaxDepth, len(res.Decisions))
 		}
-		dec := res.Decisions
-		if len(en.path) > len(dec) {
-			en.path = en.path[:len(dec)] // aborted above the old frontier
-		}
-		if en.rec.por {
-			if len(en.path) == 0 && floor > 0 {
-				en.buildPrefixPath(dec, min(floor, len(dec)))
-			}
-			for i := len(en.path); i < len(dec); i++ {
-				var ns nodeState
-				if i > 0 {
-					ns.sleep = inheritSleep(en.path[i-1], &dec[i-1])
-				}
-				en.path = append(en.path, ns)
-			}
-		} else {
-			for len(en.path) < len(dec) {
-				en.path = append(en.path, nodeState{})
-			}
-		}
-		advanced := false
-		for i := len(dec) - 1; i >= floor; i-- {
-			d := &dec[i]
-			en.path[i].done |= idBit(d.CandIDs[d.Chosen])
-			if alt := en.nextAlt(d, en.path[i]); alt >= 0 {
-				en.forced = en.forced[:0]
-				for j := 0; j < i; j++ {
-					en.forced = append(en.forced, dec[j].Chosen)
-				}
-				en.forced = append(en.forced, alt)
-				en.path = en.path[:i+1]
-				advanced = true
-				break
-			}
-			// The node is exhausted: its subtree is completely explored
-			// (within budget k − CumPre), which is exactly what a cache
-			// entry promises.
-			out.ks.Pruned += countSlept(d, en.path[i], en.k)
-			if en.rec.cache != nil && !res.Diverged {
-				en.rec.cache.put(d.H1, d.H2, en.k-d.CumPre)
-			}
-			en.path = en.path[:i]
-		}
-		if !advanced {
+		var ok bool
+		if keep, ok = en.backtrack(&res, floor, &out.ks); !ok {
 			break
 		}
 	}
 	return out
+}
+
+// backtrack extends the sleep/done path over the latest run's decisions
+// and moves the odometer: it finds the deepest node at or below floor with
+// an untried alternative, forces the path to it plus that alternative, and
+// returns the node's depth, the number of the run's decisions the next run
+// repeats. It reports false once the subtree is exhausted. Every node it
+// passes is exhausted, and its prunes and, with a cache, its entry are
+// recorded in ks and the cache.
+func (en *engine) backtrack(res *RunResult, floor int, ks *KStats) (int, bool) {
+	dec := res.Decisions
+	if len(en.path) > len(dec) {
+		en.path = en.path[:len(dec)] // aborted above the old frontier
+	}
+	if en.rec.por {
+		if len(en.path) == 0 && floor > 0 {
+			en.buildPrefixPath(dec, min(floor, len(dec)))
+		}
+		for i := len(en.path); i < len(dec); i++ {
+			var ns nodeState
+			if i > 0 {
+				ns.sleep = inheritSleep(en.path[i-1], &dec[i-1])
+			}
+			en.path = append(en.path, ns)
+		}
+	} else {
+		for len(en.path) < len(dec) {
+			en.path = append(en.path, nodeState{})
+		}
+	}
+	for i := len(dec) - 1; i >= floor; i-- {
+		d := &dec[i]
+		en.path[i].done |= idBit(d.CandIDs[d.Chosen])
+		if alt := en.nextAlt(d, en.path[i]); alt >= 0 {
+			en.forced = en.forced[:0]
+			for j := 0; j < i; j++ {
+				en.forced = append(en.forced, dec[j].Chosen)
+			}
+			en.forced = append(en.forced, alt)
+			en.path = en.path[:i+1]
+			return i, true
+		}
+		// The node is exhausted: its subtree is completely explored
+		// (within budget k − CumPre), which is exactly what a cache
+		// entry promises.
+		ks.Pruned += countSlept(d, en.path[i], en.k)
+		if en.rec.cache != nil && !res.Diverged {
+			en.rec.cache.put(d.H1, d.H2, en.k-d.CumPre)
+		}
+		en.path = en.path[:i]
+	}
+	return 0, false
 }
 
 // buildPrefixPath reconstructs sleep/done state for the first n forced

@@ -97,8 +97,9 @@ func (d *Decision) affordable(i, k int) bool { return d.CumPre+d.cost(i) <= k }
 //
 // The enumeration engine reuses one recorder across millions of runs, so
 // per-decision slices are carved out of append-only arenas reset between
-// runs; the zero-value recorder (replay, fuzzing) works identically, just
-// without reuse.
+// runs, and the decisions of the previous run's prefix that the next run
+// repeats are kept rather than recorded again (see reset). The zero-value
+// recorder (replay, fuzzing) works identically, just without reuse.
 type recorder struct {
 	forced      []int
 	overrides   map[int]string
@@ -109,10 +110,13 @@ type recorder struct {
 	por   bool        // record footprints and edges for sleep sets
 	cache *StateCache // fingerprint decision points, abort on cache hit
 	bound int         // the context bound k; remaining budget = bound − preempts
-	kern  *sim.Kernel // the run's kernel, set by runProgram before Run
+	kern  *sim.Kernel // the run's kernel, set by the runner before Run
 
 	decisions []Decision
-	diverged  bool // a forced index exceeded the candidate count
+	keep      int  // decisions[:keep] are the previous run's, repeated
+	step      int  // decisions made in this run
+	applied   int  // overrides that named a candidate at their step
+	diverged  bool // a forced index exceeded the candidate count, or a kept decision's candidates changed
 	aborted   bool // the state cache cut this run short
 	preempts  int
 	curEdge   edgeFP
@@ -121,13 +125,16 @@ type recorder struct {
 	fpArena []sim.Footprint
 }
 
-// reset prepares the recorder for another run under a new forced prefix,
-// retaining arena capacity.
-func (r *recorder) reset(forced []int) {
+// reset prepares the recorder for another run under a new forced prefix
+// whose first keep decisions are known to repeat the last run's: the
+// engine backtracked to depth keep, so forced[:keep] are the choices the
+// last run made there. Those decisions stay recorded, arenas included, and
+// the run only checks that their candidates are unchanged.
+func (r *recorder) reset(forced []int, keep int) {
 	r.forced = forced
-	r.decisions = r.decisions[:0]
-	r.idArena = r.idArena[:0]
-	r.fpArena = r.fpArena[:0]
+	r.truncate(keep)
+	r.step = 0
+	r.applied = 0
 	r.diverged = false
 	r.aborted = false
 	r.preempts = 0
@@ -135,15 +142,32 @@ func (r *recorder) reset(forced []int) {
 	r.kern = nil
 }
 
+// truncate keeps the first n decisions as the run's kept prefix, and their
+// slices of the arenas.
+func (r *recorder) truncate(n int) {
+	r.decisions = r.decisions[:n]
+	r.keep = n
+	ids, fps := 0, 0
+	for i := range r.decisions {
+		ids += len(r.decisions[i].CandIDs)
+		fps += len(r.decisions[i].CandFPs)
+	}
+	r.idArena = r.idArena[:ids]
+	r.fpArena = r.fpArena[:fps]
+}
+
 // onStep is the sim.Config.OnStep hook: it accumulates the footprints of
-// the steps executed since the last decision point into the current edge.
+// the steps executed since the last decision point into the current edge,
+// unless that decision is kept, whose edge is already recorded.
 func (r *recorder) onStep(_ *sim.T, fp sim.Footprint) {
-	r.curEdge.add(fp)
+	if r.step > r.keep {
+		r.curEdge.add(fp)
+	}
 }
 
 func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
-	step := len(r.decisions)
-	if r.por && step > 0 {
+	step := r.step
+	if r.por && step > r.keep {
 		r.decisions[step-1].Edge = r.curEdge
 		r.curEdge = edgeFP{}
 	}
@@ -162,11 +186,21 @@ func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
 			return 0
 		}
 	}
+	r.step++
+	if step < r.keep {
+		if d := &r.decisions[step]; sameIDs(d.CandIDs, cands) {
+			r.preempts += d.cost(d.Chosen)
+			return d.Chosen
+		}
+		// The tree changed under the kept prefix; this never happens for
+		// prefixes recorded from the same litmus. Record afresh from here.
+		r.diverged = true
+		r.truncate(step)
+	}
 	ib, fb := len(r.idArena), len(r.fpArena)
 	for _, t := range cands {
 		r.idArena = append(r.idArena, t.ID())
 	}
-	ids := r.idArena[ib:len(r.idArena):len(r.idArena)]
 	def := 0
 	prevRunnable := false
 	if prev != nil {
@@ -193,6 +227,7 @@ func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
 			for i, t := range cands {
 				if t.Name() == name {
 					chosen = i
+					r.applied++
 					break
 				}
 			}
@@ -210,27 +245,58 @@ func (r *recorder) choose(prev *sim.T, cands []*sim.T) int {
 			chosen = r.rng.Intn(len(cands))
 		}
 	}
-	d := Decision{
-		CandIDs:      ids,
-		Chosen:       chosen,
-		Default:      def,
-		PrevRunnable: prevRunnable,
-		CumPre:       r.preempts,
-		H1:           h1,
-		H2:           h2,
+	// Append the decision in place: every field is written, as the slot
+	// may hold a decision of an earlier run.
+	if step < cap(r.decisions) {
+		r.decisions = r.decisions[:step+1]
+	} else {
+		r.decisions = append(r.decisions, Decision{})
 	}
+	d := &r.decisions[step]
+	d.CandIDs = r.idArena[ib:len(r.idArena):len(r.idArena)]
+	d.Chosen = chosen
+	d.Default = def
+	d.PrevRunnable = prevRunnable
+	d.CumPre = r.preempts
+	d.CandFPs = nil
 	if r.por {
 		for _, t := range cands {
 			r.fpArena = append(r.fpArena, t.PendingFootprint())
 		}
 		d.CandFPs = r.fpArena[fb:len(r.fpArena):len(r.fpArena)]
 	}
+	d.Edge = edgeFP{}
+	d.H1, d.H2 = h1, h2
 	r.preempts += d.cost(chosen)
-	r.decisions = append(r.decisions, d)
 	return chosen
 }
 
-// RunResult is one controlled run of a litmus program.
+// finish ends the run's record: a run that stopped inside its kept prefix
+// keeps only the decisions it made. Only the state cache stops a run
+// there; anything else means the tree changed under the prefix.
+func (r *recorder) finish() {
+	if r.step < len(r.decisions) {
+		r.decisions = r.decisions[:r.step]
+		r.diverged = r.diverged || !r.aborted
+	}
+}
+
+// sameIDs reports whether cands are, in order, the threads ids names.
+func sameIDs(ids []int, cands []*sim.T) bool {
+	if len(ids) != len(cands) {
+		return false
+	}
+	for i, t := range cands {
+		if t.ID() != ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// RunResult is one controlled run of a litmus program. A run made on a
+// runner aliases that runner's storage (Decisions, Events and the threads)
+// until the runner's next run.
 type RunResult struct {
 	Decisions   []Decision
 	Preemptions int
@@ -240,6 +306,10 @@ type RunResult struct {
 	Steps       uint64
 	Diverged    bool
 	Aborted     bool // the state cache cut the run short (suffix already covered)
+	// Unapplied counts the certificate choices a replay could not apply:
+	// those naming a thread that was not a candidate at their step, and
+	// those whose step the run never reached.
+	Unapplied int
 
 	threads []*sim.T // the run's threads by ID, for naming certificate choices
 }
@@ -248,49 +318,76 @@ type RunResult struct {
 // thousand instructions, so the margin is enormous.
 const maxRunSteps = 2_000_000
 
-// runProgram executes lit's simulator program once under rec's schedule,
-// on carriers from the given pool (nil: the run's own), replays the
-// linearization trace through the specification, and applies the litmus's
-// own outcome check and then, since every thread finished, the check that
-// no condition variable kept a commitment or a waiter.
-func runProgram(lit *checker.Litmus, rec *recorder, carriers *sim.Carriers) RunResult {
-	var events []trace.Event
+// runner is the handle one goroutine runs litmus programs on: a world and
+// its kernel, the carriers their threads run on, the linearization trace,
+// the checker that replays it through the specification, and the hooks
+// that feed the run's recorder and the trace, all reset in place before
+// every run. It serves one run at a time, so each goroutine that runs
+// programs holds its own; a violating run's result aliases the runner, so
+// an engine stops at its first violation.
+type runner struct {
+	carriers sim.Carriers
+	w        simthreads.World
+	events   []trace.Event
+	check    *trace.Checker
+	rec      *recorder // the current run's
+
+	choose func(*sim.T, []*sim.T) int
+	onStep func(*sim.T, sim.Footprint)
+	trace  func(sim.Event)
+}
+
+func newRunner() *runner {
+	h := &runner{check: trace.New()}
+	h.choose = func(prev *sim.T, cands []*sim.T) int { return h.rec.choose(prev, cands) }
+	h.onStep = func(t *sim.T, fp sim.Footprint) { h.rec.onStep(t, fp) }
+	h.trace = func(ev sim.Event) {
+		if a, ok := ev.Payload.(spec.Action); ok {
+			h.events = append(h.events, trace.Event{Seq: ev.Seq, Thread: ev.Thread.Name(), Action: a})
+		}
+	}
+	return h
+}
+
+// close ends the runner's idle carriers.
+func (h *runner) close() { h.carriers.Close() }
+
+// run executes lit's simulator program once under rec's schedule, replays
+// the linearization trace through the specification, and applies the
+// litmus's own outcome check and then, since every thread finished, the
+// check that no condition variable kept a commitment or a waiter.
+func (h *runner) run(lit *checker.Litmus, rec *recorder) RunResult {
 	opts := lit.Sim.Opts
 	opts.NubAwait = true // finite decision tree; see WorldOptions.NubAwait
 	cfg := sim.Config{
 		Procs:    lit.Sim.Procs,
 		Quantum:  lit.Sim.Quantum,
 		MaxSteps: maxRunSteps,
-		Choose:   rec.choose,
-		Carriers: carriers,
-		Trace: func(ev sim.Event) {
-			if a, ok := ev.Payload.(spec.Action); ok {
-				events = append(events, trace.Event{Seq: ev.Seq, Thread: ev.Thread.Name(), Action: a})
-			}
-		},
+		Choose:   h.choose,
+		Carriers: &h.carriers,
+		Trace:    h.trace,
 	}
 	if rec.por {
-		cfg.OnStep = rec.onStep
+		cfg.OnStep = h.onStep
 	}
-	w, k := simthreads.NewWorldOpts(cfg, opts)
+	h.rec = rec
+	h.events = h.events[:0]
+	k := h.w.Reset(cfg, opts)
 	rec.kern = k
-	check := lit.Sim.Build(w, k)
+	check := lit.Sim.Build(&h.w, k)
 	panicked, err := runKernel(k)
+	rec.finish()
 	res := RunResult{
-		Decisions: rec.decisions,
-		Events:    events,
-		RunErr:    err,
-		Steps:     k.Steps(),
-		Diverged:  rec.diverged,
-		Aborted:   rec.aborted,
-		threads:   k.Threads(),
+		Decisions:   rec.decisions,
+		Preemptions: rec.preempts,
+		Events:      h.events,
+		RunErr:      err,
+		Steps:       k.Steps(),
+		Diverged:    rec.diverged,
+		Aborted:     rec.aborted,
+		threads:     k.Threads(),
 	}
-	for _, d := range rec.decisions {
-		if d.Preempted() {
-			res.Preemptions++
-		}
-	}
-	if _, verr := trace.CheckAll(events); verr != nil {
+	if _, verr := h.check.CheckAll(h.events); verr != nil {
 		res.Violation = &Violation{Kind: "conformance", Detail: verr.Error()}
 	} else if panicked != nil {
 		res.Violation = &Violation{Kind: "panic", Detail: fmt.Sprintf("%v", panicked)}
@@ -310,7 +407,7 @@ func runProgram(lit *checker.Litmus, rec *recorder, carriers *sim.Carriers) RunR
 			cerr = check()
 		}
 		if cerr == nil {
-			cerr = w.CheckConditions()
+			cerr = h.w.CheckConditions()
 		}
 		if cerr != nil {
 			res.Violation = &Violation{Kind: "outcome", Detail: cerr.Error()}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"threads/internal/checker"
-	"threads/internal/sim"
 )
 
 // This file shards one context bound's schedule space across a worker
@@ -27,20 +26,20 @@ import (
 // reported stay single-threaded and deterministic.
 
 // exploreBoundParallel runs one context bound on a worker pool. The probe
-// runs on the caller's goroutine, on its carriers.
-func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, workers int, carriers *sim.Carriers) boundResult {
+// runs on the caller's goroutine, on its runner h; each worker holds its
+// own.
+func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, workers int, h *runner) boundResult {
 	var out boundResult
-	probe := newEngine(lit, o, sh, k, carriers)
+	probe := newEngine(lit, o, sh, k, h)
 	work := [][]int{nil} // work items: forced prefixes partitioning the space
 	for len(work) > 0 && len(work) < workers*4 {
 		if sh.expired() {
 			out.budgetHit = true
 			break
 		}
-		prefix := work[0]
+		probe.forced = work[0]
 		work = work[1:]
-		probe.rec.reset(prefix)
-		res := runProgram(lit, &probe.rec, carriers)
+		res := probe.run(0)
 		out.runs++
 		out.decisions += len(res.Decisions)
 		switch {
@@ -56,7 +55,7 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 			out.ks.Schedules++
 			out.ks.MaxDepth = max(out.ks.MaxDepth, len(res.Decisions))
 		}
-		work = probe.splitAlong(res.Decisions, len(prefix), work, &out.ks.Pruned)
+		work = probe.splitAlong(res.Decisions, len(probe.forced), work, &out.ks.Pruned)
 	}
 	if len(work) == 0 {
 		return out
@@ -69,15 +68,15 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			var carriers sim.Carriers
-			defer carriers.Close()
-			en := newEngine(lit, o, sh, k, &carriers)
+			h := newRunner()
+			defer h.close()
+			en := newEngine(lit, o, sh, k, h)
 			var acc boundResult
 			for prefix := range itemCh {
 				r := en.dfs(prefix)
 				acc.merge(r)
 				if r.violation != nil {
-					break // the engine's arenas now back the violation
+					break // the engine's recorder and runner now back the violation
 				}
 			}
 			results[wi] = acc

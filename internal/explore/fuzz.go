@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"threads/internal/checker"
-	"threads/internal/sim"
 )
 
 // FuzzOptions parameterizes swarm scheduling: weighted-random sampling
@@ -59,8 +58,9 @@ func Fuzz(lit *checker.Litmus, o FuzzOptions) *FuzzReport {
 		o.PreemptProb = 0.2
 	}
 	rep := &FuzzReport{Litmus: lit.Name, ExpectViolation: lit.ExpectViolation}
-	var carriers sim.Carriers
-	defer carriers.Close()
+	h := newRunner()
+	defer h.close()
+	rec := &recorder{rng: rand.New(rand.NewSource(o.Seed)), preemptProb: o.PreemptProb}
 	for i := 0; ; i++ {
 		if o.Runs > 0 && i >= o.Runs {
 			break
@@ -72,8 +72,9 @@ func Fuzz(lit *checker.Litmus, o FuzzOptions) *FuzzReport {
 			break // refuse to run unbounded
 		}
 		seed := o.Seed + int64(i)
-		rec := &recorder{rng: rand.New(rand.NewSource(seed)), preemptProb: o.PreemptProb}
-		res := runProgram(lit, rec, &carriers)
+		rec.rng.Seed(seed)
+		rec.reset(nil, 0)
+		res := h.run(lit, rec)
 		rep.Runs++
 		rep.Decisions += len(res.Decisions)
 		if res.Violation != nil {

@@ -181,6 +181,18 @@ func (pq *PriorityQueue[T]) Drain(fn func(*PItem[T])) {
 	}
 }
 
+// Reset empties the queue, keeping its storage, and restarts its FIFO
+// sequence, so that it orders later pushes exactly as a new queue would.
+// The items it held are unlinked, as Pop would unlink them.
+func (pq *PriorityQueue[T]) Reset() {
+	for _, it := range pq.heap {
+		it.queued = false
+	}
+	clear(pq.heap)
+	pq.heap = pq.heap[:0]
+	pq.seq = 0
+}
+
 // NewPItem returns an item ready for Push, carrying v at priority p.
 func NewPItem[T any](v T, p Priority) *PItem[T] {
 	return &PItem[T]{Value: v, Priority: p}

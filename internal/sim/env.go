@@ -15,16 +15,17 @@ type Word struct {
 	id    uint32 // 1-based position in the kernel's words; 0 = unregistered
 	scope uint64
 	// awaiting lists the threads blocked in TASAwait on the word, and
-	// watchers the AwaitChange registrations naming it.
+	// watchers those blocked in an AwaitChange naming it.
 	awaiting []*T
-	watchers []*watcher
+	watchers []*T
 }
 
 // Peek reads the word without simulating an access. For assertions and
 // reporting after Run returns; simulated threads must use Env.Load.
 func (w *Word) Peek() uint64 { return w.v }
 
-// Poke writes the word without simulating an access (test setup only).
+// Poke writes the word without simulating an access: for test setup, and
+// for resetting a word that a reused object carries into its next run.
 func (w *Word) Poke(v uint64) { w.v = v }
 
 // Env is a simulated thread's view of the machine: its instruction set
@@ -195,50 +196,47 @@ func (e *Env) AwaitChange(wv ...WordVal) {
 				return
 			}
 		}
-		wr := &watcher{t: e.t, wv: wv}
+		t := e.t
+		t.awaitWV = append(t.awaitWV[:0], wv...)
 		for _, p := range wv {
-			p.W.watchers = append(p.W.watchers, wr)
+			p.W.watchers = append(p.W.watchers, t)
 		}
-		e.t.blockReason = "awaiting word change"
-		e.t.resumeFP = fp
+		t.blockReason = "awaiting word change"
+		t.resumeFP = fp
 		e.yieldPoint(opBlock, 0, fp)
-		e.t.blockReason = ""
-		wr.unwatch()
+		t.blockReason = ""
+		t.unwatch()
 	}
 }
 
-// watcher is one AwaitChange registration.
-type watcher struct {
-	t  *T
-	wv []WordVal
-}
-
-// notifyWatchers wakes every AwaitChange watcher of w whose predicate now
-// holds (some watched word changed from its recorded value).
+// notifyWatchers wakes every thread blocked in AwaitChange on w whose
+// predicate now holds (some watched word changed from its recorded value).
 func (e *Env) notifyWatchers(w *Word) {
 	if len(w.watchers) == 0 {
 		return
 	}
-	var woken []*watcher
-	for _, wr := range w.watchers {
-		for _, p := range wr.wv {
+	woken := e.k.woken[:0]
+	for _, t := range w.watchers {
+		for _, p := range t.awaitWV {
 			if p.W.v != p.Old {
-				woken = append(woken, wr)
+				woken = append(woken, t)
 				break
 			}
 		}
 	}
-	for _, wr := range woken {
-		wr.unwatch()
-		e.MakeReady(wr.t)
+	for _, t := range woken {
+		t.unwatch()
+		e.MakeReady(t)
 	}
+	e.k.woken = woken
 }
 
-// unwatch removes wr from the watch list of every word it names.
-func (wr *watcher) unwatch() {
-	for _, p := range wr.wv {
+// unwatch removes t from the watch list of every word its AwaitChange
+// names.
+func (t *T) unwatch() {
+	for _, p := range t.awaitWV {
 		for i, x := range p.W.watchers {
-			if x == wr {
+			if x == t {
 				p.W.watchers = append(p.W.watchers[:i], p.W.watchers[i+1:]...)
 				break
 			}

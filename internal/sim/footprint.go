@@ -82,14 +82,17 @@ var ErrAborted = errors.New("sim: run aborted")
 // call from inside a Choose or OnStep hook.
 func (k *Kernel) Abort() { k.aborted = true }
 
-// wordID returns w's ID in k, registering w on its first access by k. IDs
-// are assigned in first-access order, which is deterministic for a fixed
-// program along a fixed schedule prefix — the only place the explorer
-// compares them. A word registered by another kernel is registered afresh
-// and keeps only its value.
+// wordID returns w's ID in k, registering w on its first access in k's
+// run. IDs are assigned in first-access order, which is deterministic for
+// a fixed program along a fixed schedule prefix — the only place the
+// explorer compares them. A word registered by another kernel, or before
+// k's last Reset, is registered afresh and keeps only its value; its wait
+// lists keep their storage.
 func (k *Kernel) wordID(w *Word) uint32 {
 	if w.id == 0 || int(w.id) > len(k.words) || k.words[w.id-1] != w {
-		*w = Word{v: w.v}
+		w.scope = 0
+		w.awaiting = w.awaiting[:0]
+		w.watchers = w.watchers[:0]
 		k.words = append(k.words, w)
 		w.id = uint32(len(k.words)) // IDs start at 1; 0 means "no word"
 	}
@@ -159,8 +162,8 @@ func (k *Kernel) Fingerprint() (uint64, uint64) {
 	for _, w := range k.words {
 		if len(w.watchers) > 0 {
 			h.Add(uint64(w.id) | 1<<41)
-			for _, wr := range w.watchers {
-				h.Add(uint64(wr.t.id))
+			for _, t := range w.watchers {
+				h.Add(uint64(t.id))
 			}
 		}
 	}

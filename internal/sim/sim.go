@@ -201,6 +201,9 @@ type T struct {
 	// stepSched is set when the current window wakes/creates a thread or
 	// changes a priority; the kernel folds it into the step's footprint.
 	stepSched bool
+	// awaitWV is what the thread's AwaitChange awaits while it is blocked
+	// there: its own copy, so the caller's list need not outlive the call.
+	awaitWV []WordVal
 }
 
 // ID returns the thread's kernel-unique id.
@@ -246,7 +249,7 @@ type Kernel struct {
 	rng     *rand.Rand // nil when Choose makes every decision
 	procs   []*proc
 	threads []*T
-	ready   *queue.PriorityQueue[*T]
+	ready   queue.PriorityQueue[*T]
 	// next is the thread the baton holder chose before it yielded to Run;
 	// nil once the run has ended.
 	next    *T
@@ -261,9 +264,11 @@ type Kernel struct {
 	// yield point.
 	exec Footprint
 	// runnable and cands are the candidate lists of the current decision,
-	// reused across decisions.
+	// reused across decisions, and woken notifyWatchers' list of threads
+	// to wake.
 	runnable []*proc
 	cands    []*T
+	woken    []*T
 	// ended is set when the run ends, with err as Run's result. panicked
 	// is the first panic from a thread body or a hook.
 	ended    bool
@@ -276,23 +281,53 @@ type Kernel struct {
 	aborted   bool
 }
 
-// NewKernel builds a machine from cfg.
+// NewKernel builds a machine from cfg: a new kernel's first Reset.
 func NewKernel(cfg Config) *Kernel {
+	k := new(Kernel)
+	k.Reset(cfg)
+	return k
+}
+
+// Reset returns k to the state NewKernel(cfg) builds, keeping the storage
+// of its processors, thread records, ready queue and word and candidate
+// lists, so that a goroutine running one program after another allocates
+// them once. The previous run's threads are recycled: neither they nor
+// anything holding them may be used once Reset is called. Reset must not
+// be called while Run is running.
+func (k *Kernel) Reset(cfg Config) {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 1
 	}
-	k := &Kernel{
-		cfg:   cfg,
-		cost:  cfg.Cost.orDefault(),
-		ready: queue.NewPriorityQueue[*T](),
-	}
-	if cfg.Choose == nil {
-		k.rng = rand.New(rand.NewSource(cfg.Seed))
-	}
+	procs := k.procs[:0]
 	for i := 0; i < cfg.Procs; i++ {
-		k.procs = append(k.procs, &proc{id: i})
+		var p *proc
+		if i < cap(procs) {
+			p = procs[:i+1][i]
+		}
+		if p == nil {
+			p = new(proc)
+		}
+		*p = proc{id: i}
+		procs = append(procs, p)
 	}
-	return k
+	var rng *rand.Rand // nil when Choose makes every decision
+	if cfg.Choose == nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	k.ready.Reset()
+	*k = Kernel{
+		cfg:       cfg,
+		cost:      cfg.Cost.orDefault(),
+		rng:       rng,
+		procs:     procs,
+		threads:   k.threads[:0],
+		ready:     k.ready,
+		runnable:  k.runnable[:0],
+		cands:     k.cands[:0],
+		woken:     k.woken[:0],
+		words:     k.words[:0],
+		digesters: k.digesters[:0],
+	}
 }
 
 // Spawn creates a thread at priority 0 that will run fn. It may be called
@@ -302,20 +337,31 @@ func (k *Kernel) Spawn(name string, fn func(*Env)) *T {
 	return k.SpawnPri(name, 0, fn)
 }
 
-// SpawnPri is Spawn with an explicit priority (larger = more urgent).
+// SpawnPri is Spawn with an explicit priority (larger = more urgent). The
+// thread takes the record, if any, that its ID had before the last Reset.
 func (k *Kernel) SpawnPri(name string, pri int, fn func(*Env)) *T {
-	t := &T{
-		id:          len(k.threads),
+	id := len(k.threads)
+	var t *T
+	if id < cap(k.threads) {
+		t = k.threads[:id+1][id]
+	}
+	if t == nil {
+		t = &T{item: new(queue.PItem[*T])}
+	}
+	if name == "" {
+		name = fmt.Sprintf("t%d", id)
+	}
+	*t = T{
+		id:          id,
 		name:        name,
 		k:           k,
+		item:        t.item,
+		env:         Env{t: t, k: k},
 		fn:          fn,
 		preemptible: true,
+		awaitWV:     t.awaitWV[:0],
 	}
-	if t.name == "" {
-		t.name = fmt.Sprintf("t%d", t.id)
-	}
-	t.env = Env{t: t, k: k}
-	t.item = queue.NewPItem(t, queue.Priority(pri))
+	*t.item = queue.PItem[*T]{Value: t, Priority: queue.Priority(pri)}
 	k.threads = append(k.threads, t)
 	k.ready.Push(t.item)
 	return t
@@ -339,7 +385,7 @@ func (t *T) main() {
 // Run executes the machine until every thread is done. It returns nil on
 // normal completion, a *DeadlockError if live threads remain but none can
 // run, ErrStepLimit, or ErrAborted; a panic in a thread body or a hook is
-// re-raised here. Run may be called once per Kernel.
+// re-raised here. Run may be called once per NewKernel or Reset.
 func (k *Kernel) Run() error {
 	if k.cfg.Carriers == nil {
 		k.cfg.Carriers = new(Carriers)

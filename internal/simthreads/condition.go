@@ -24,14 +24,28 @@ type Condition struct {
 	// alerted remove finds it still queued.
 	committed sim.Word
 	q         tqueue
+	// waitReason and alertWaitReason name the condition's blocks in
+	// deadlock reports.
+	waitReason, alertWaitReason string
 }
 
 // NewCondition creates a condition variable (INITIALLY {}).
 func (w *World) NewCondition() *Condition {
 	w.nextCond++
-	c := &Condition{w: w, id: w.nextCond}
+	if int(w.nextCond) > len(w.conds) {
+		n := strconv.Itoa(int(w.nextCond))
+		w.conds = append(w.conds, &Condition{
+			w:               w,
+			id:              w.nextCond,
+			waitReason:      "Wait(c" + n + ")",
+			alertWaitReason: "AlertWait(c" + n + ")",
+		})
+	}
+	c := w.conds[w.nextCond-1]
+	c.ec.Poke(0)
+	c.committed.Poke(0)
+	c.q.items = c.q.items[:0]
 	w.registerCond(c)
-	w.conds = append(w.conds, c)
 	return c
 }
 
@@ -41,7 +55,7 @@ func (w *World) NewCondition() *Condition {
 // exactly once. Call it only after Run returned with every thread
 // finished; it reads the words without simulating accesses.
 func (w *World) CheckConditions() error {
-	for _, c := range w.conds {
+	for _, c := range w.conds[:w.nextCond] {
 		if n, q := c.committed.Peek(), len(c.q.items); n != 0 || q != 0 {
 			return fmt.Errorf("condition c%d ends the run with committed = %d and %d queued; every thread has finished", c.id, int64(n), q)
 		}
@@ -57,18 +71,16 @@ func (c *Condition) ID() spec.CondID { return c.id }
 // paper: read the eventcount, Release(m), call the Nub's Block(c, i),
 // Acquire(m).
 func (c *Condition) Wait(e *sim.Env, m *Mutex) {
-	self := c.w.state(e.Self()).id
+	st := c.w.state(e.Self())
 	// Committing to the wait is the Enqueue linearization: the counter
 	// increment is the last instruction after which a Signal is obliged
 	// to consider us waiting.
 	e.Add(&c.committed, 1)
-	c.w.emit(e, spec.Enqueue{T: self, M: m.id, C: c.id})
+	c.w.emit(e, spec.Enqueue{T: st.id, M: m.id, C: c.id})
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
-	c.block(e, i, "Wait(c"+strconv.Itoa(int(c.id))+")")
-	m.acquireSilent(e, func() {
-		c.w.emit(e, spec.Resume{T: self, M: m.id, C: c.id})
-	})
+	c.block(e, i, c.waitReason)
+	m.acquireSilent(e, lin{op: linResume, e: e, st: st, obj: int(m.id), c: c.id})
 }
 
 // block is the Nub's Block(c, i): under the spin lock, compare i with the
@@ -175,7 +187,7 @@ func (c *Condition) Signal(e *sim.Env) {
 	}
 	var removed []spec.ThreadID
 	if woken != nil {
-		removed = []spec.ThreadID{w.state(woken).id}
+		removed = w.state(woken).removed[:]
 	}
 	w.emit(e, spec.Signal{T: self, C: c.id, Removed: removed})
 	if woken != nil {
@@ -202,7 +214,7 @@ func (c *Condition) Broadcast(e *sim.Env) {
 	e.Add(&c.ec, 1)
 	self := w.state(e.Self()).id
 	left := uint64(len(c.q.items)) // every queued thread leaves c
-	var woken []*sim.T
+	woken := w.woken[:0]
 	for {
 		t := c.q.pop(e)
 		if t == nil {
@@ -222,6 +234,7 @@ func (c *Condition) Broadcast(e *sim.Env) {
 		e.MakeReady(t)
 		w.Stats.BcastWoke++
 	}
+	w.woken = woken
 	w.nubUnlock(e)
 }
 
@@ -229,13 +242,13 @@ func (c *Condition) Broadcast(e *sim.Env) {
 // by Alert; in that case the thread was removed from c, the alert was
 // consumed, and the mutex was still reacquired before returning.
 func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
-	self := c.w.state(e.Self()).id
+	st := c.w.state(e.Self())
+	self := st.id
 	e.Add(&c.committed, 1)
 	c.w.emit(e, spec.Enqueue{T: self, M: m.id, C: c.id})
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
-	alerted = c.blockAlertable(e, i, "AlertWait(c"+strconv.Itoa(int(c.id))+")")
-	st := c.w.state(e.Self())
+	alerted = c.blockAlertable(e, i, c.alertWaitReason)
 	if alerted && c.w.opts.BuggyAlertSeize {
 		// The first released specification's Raise path (VariantNoMNil):
 		// no "m = NIL &" guard, so the alerted thread returns — believing
@@ -247,14 +260,11 @@ func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
 		e.Work(branchCost)
 		return true
 	}
-	m.acquireSilent(e, func() {
-		if alerted {
-			st.alerted = false
-			c.w.emit(e, spec.AlertResumeRaise{T: self, M: m.id, C: c.id, Variant: spec.VariantFinal})
-		} else {
-			c.w.emit(e, spec.AlertResumeReturn{T: self, M: m.id, C: c.id})
-		}
-	})
+	on := lin{op: linAlertResumeReturn, e: e, st: st, obj: int(m.id), c: c.id}
+	if alerted {
+		on.op = linAlertResumeRaise
+	}
+	m.acquireSilent(e, on)
 	return alerted
 }
 

@@ -25,7 +25,14 @@ type DeadlineTimer struct {
 // NewDeadlineTimer creates an armed timer (the simulated analogue of
 // core's armDeadline).
 func (w *World) NewDeadlineTimer() *DeadlineTimer {
-	return &DeadlineTimer{w: w}
+	w.nextTimer++
+	if w.nextTimer > len(w.timers) {
+		w.timers = append(w.timers, &DeadlineTimer{w: w})
+	}
+	dt := w.timers[w.nextTimer-1]
+	dt.claim.Poke(0)
+	dt.fired.Poke(0)
+	return dt
 }
 
 // Fire delivers the deadline to t: the timer thread's one step, placed by

@@ -80,7 +80,7 @@ func (w *World) digest(h *sim.Hash128) {
 	for id, t := range w.k.Threads() {
 		// Effective priority orders the ready pool and the gate queues.
 		h.Add(0x9d9d<<32 | uint64(uint32(int32(t.Priority()))))
-		if id >= len(w.states) || w.states[id] == nil {
+		if id >= len(w.states) || w.states[id] == nil || w.states[id].id == 0 {
 			h.Add(0)
 			continue
 		}
@@ -93,7 +93,7 @@ func (w *World) digest(h *sim.Hash128) {
 		if st.alertTgt != nil {
 			f |= uint64(st.alertTgt.id) << 8
 		}
-		if st.handoffEmit != nil {
+		if st.handoffEmit.op != linNone {
 			f |= 1 << 32
 		}
 		h.Add(f)

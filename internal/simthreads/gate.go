@@ -25,18 +25,26 @@ type gate struct {
 	holder *sim.T
 }
 
+// reset returns g to the state of a new gate of w: available, with no
+// queued thread and no holder. The words keep their storage; registering
+// them clears the rest (see sim.Word.Poke).
+func (g *gate) reset(w *World, pi bool) {
+	g.w, g.pi, g.holder = w, pi, nil
+	g.lockBit.Poke(0)
+	g.qne.Poke(0)
+	g.q.items = g.q.items[:0]
+}
+
 // tryAcquire is the user-code fast path: one test-and-set and one branch —
 // 2 instructions. onAcquired runs at the linearization point (immediately
 // after the winning test-and-set, in the same execution slice).
-func (g *gate) tryAcquire(e *sim.Env, onAcquired func()) bool {
+func (g *gate) tryAcquire(e *sim.Env, onAcquired lin) bool {
 	won := e.TAS(&g.lockBit) == 0
 	if won {
 		if g.pi {
 			g.holder = e.Self()
 		}
-		if onAcquired != nil {
-			onAcquired()
-		}
+		onAcquired.run(g.w)
 	}
 	e.Work(branchCost)
 	return won
@@ -46,7 +54,7 @@ func (g *gate) tryAcquire(e *sim.Env, onAcquired func()) bool {
 // §Implementation): under the spin lock, add the caller to the queue and
 // test the lock bit again. If still set, deschedule; if clear, back out and
 // retry the whole operation from the test-and-set.
-func (g *gate) acquireSlow(e *sim.Env, reason string, onAcquired func()) {
+func (g *gate) acquireSlow(e *sim.Env, reason string, onAcquired lin) {
 	w := g.w
 	self := e.Self()
 	st := w.state(self)
@@ -79,7 +87,7 @@ func (g *gate) acquireSlow(e *sim.Env, reason string, onAcquired func()) {
 			// claim and retry.
 			woke := st.wakeup
 			st.wakeup = wakeNone
-			st.handoffEmit = nil
+			st.handoffEmit = lin{}
 			if woke == wakeHandoff {
 				// The releaser transferred the gate: the lock bit was never
 				// cleared and our acquisition is already emitted. Nothing
@@ -97,7 +105,7 @@ func (g *gate) acquireSlow(e *sim.Env, reason string, onAcquired func()) {
 // ended by Alert, in which case the caller reports the alert and the gate
 // is left untouched. onAcquired/onAlerted run at the respective
 // linearization points.
-func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAlerted func()) (alerted bool) {
+func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAlerted lin) (alerted bool) {
 	w := g.w
 	self := e.Self()
 	st := w.state(self)
@@ -107,7 +115,7 @@ func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAle
 		if st.alerted {
 			// WHEN SELF IN alerts already holds: take the RAISES path.
 			st.alerted = false
-			onAlerted()
+			onAlerted.run(w)
 			w.nubUnlock(e)
 			return true
 		}
@@ -135,7 +143,7 @@ func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAle
 		woke := st.wakeup
 		st.wakeup = wakeNone
 		st.alertTgt = nil
-		st.handoffEmit = nil
+		st.handoffEmit = lin{}
 		if woke == wakeHandoff {
 			w.nubUnlock(e)
 			return false
@@ -148,7 +156,7 @@ func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAle
 				e.Store(&g.qne, 0)
 			}
 			st.alerted = false
-			onAlerted()
+			onAlerted.run(w)
 			w.nubUnlock(e)
 			return true
 		}
@@ -162,7 +170,7 @@ func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAle
 // release is the user code for Release/V: clear the lock bit (1
 // instruction), test whether the queue is non-empty (1), branch (1) — and
 // only then call the Nub. onReleased runs at the clearing store.
-func (g *gate) release(e *sim.Env, onReleased func()) (tookNub bool) {
+func (g *gate) release(e *sim.Env, onReleased lin) (tookNub bool) {
 	if g.w.opts.DirectHandoff && e.Load(&g.qne) != 0 && g.releaseHandoffSlow(e, onReleased) {
 		return true
 	}
@@ -179,9 +187,7 @@ func (g *gate) release(e *sim.Env, onReleased func()) (tookNub bool) {
 		g.holder = nil
 	}
 	e.Store(&g.lockBit, 0)
-	if onReleased != nil {
-		onReleased()
-	}
+	onReleased.run(g.w)
 	nonEmpty := e.Load(&g.qne) != 0
 	e.Work(branchCost)
 	if !nonEmpty {
@@ -230,7 +236,7 @@ func (g *gate) releaseSlow(e *sim.Env) {
 // (emitting nothing) if no eligible waiter exists or the bit is already
 // clear (a semaphore V with no token in hand cannot gift one); the caller
 // then runs the ordinary clear-and-wake protocol.
-func (g *gate) releaseHandoffSlow(e *sim.Env, onReleased func()) bool {
+func (g *gate) releaseHandoffSlow(e *sim.Env, onReleased lin) bool {
 	w := g.w
 	e.Work(callCost)
 	w.nubLock(e)
@@ -250,13 +256,9 @@ func (g *gate) releaseHandoffSlow(e *sim.Env, onReleased func()) bool {
 		}
 		st := w.state(t)
 		if st.wakeup == wakeNone {
-			if onReleased != nil {
-				onReleased()
-			}
-			if st.handoffEmit != nil {
-				st.handoffEmit()
-				st.handoffEmit = nil
-			}
+			onReleased.run(w)
+			st.handoffEmit.run(w)
+			st.handoffEmit = lin{}
 			var old *sim.T
 			if g.pi {
 				// A transfer names its recipient: install it as the new

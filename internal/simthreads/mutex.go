@@ -13,6 +13,9 @@ type Mutex struct {
 	w  *World
 	id spec.MutexID
 	g  gate
+	// acquireReason and resumeReason name the mutex's slow-path blocks in
+	// deadlock reports.
+	acquireReason, resumeReason string
 }
 
 // NewMutex creates a mutex (INITIALLY NIL). With the world's
@@ -20,9 +23,17 @@ type Mutex struct {
 // priorities to its holder.
 func (w *World) NewMutex() *Mutex {
 	w.nextMutex++
-	m := &Mutex{w: w, id: w.nextMutex}
-	m.g.w = w
-	m.g.pi = w.opts.PriorityInheritance
+	if int(w.nextMutex) > len(w.mutexes) {
+		n := strconv.Itoa(int(w.nextMutex))
+		w.mutexes = append(w.mutexes, &Mutex{
+			w:             w,
+			id:            w.nextMutex,
+			acquireReason: "Acquire(m" + n + ")",
+			resumeReason:  "Resume(m" + n + ")",
+		})
+	}
+	m := w.mutexes[w.nextMutex-1]
+	m.g.reset(w, w.opts.PriorityInheritance)
 	w.registerGate(&m.g)
 	return m
 }
@@ -33,42 +44,40 @@ func (m *Mutex) ID() spec.MutexID { return m.id }
 // Acquire blocks until the mutex is free and takes it. The uncontended
 // path is 2 instructions (test-and-set, branch).
 func (m *Mutex) Acquire(e *sim.Env) {
-	self := m.w.state(e.Self()).id
-	onAcquired := func() { m.w.emit(e, spec.Acquire{T: self, M: m.id}) }
+	on := lin{op: linAcquire, e: e, st: m.w.state(e.Self()), obj: int(m.id)}
 	if m.w.opts.NoUserFastPath {
-		m.g.acquireNubOnly(e, "Acquire(m"+strconv.Itoa(int(m.id))+")", onAcquired)
+		m.g.acquireNubOnly(e, m.acquireReason, on)
 		return
 	}
-	if m.g.tryAcquire(e, onAcquired) {
+	if m.g.tryAcquire(e, on) {
 		m.w.Stats.AcquireFast++
 		return
 	}
 	m.w.Stats.AcquireNub++
-	m.g.acquireSlow(e, "Acquire(m"+strconv.Itoa(int(m.id))+")", onAcquired)
+	m.g.acquireSlow(e, m.acquireReason, on)
 }
 
 // acquireSilent reacquires the mutex inside Wait/AlertWait; the
 // linearization event is the Resume/AlertResume emitted by the caller.
-func (m *Mutex) acquireSilent(e *sim.Env, onAcquired func()) {
-	if m.g.tryAcquire(e, onAcquired) {
+func (m *Mutex) acquireSilent(e *sim.Env, on lin) {
+	if m.g.tryAcquire(e, on) {
 		m.w.Stats.AcquireFast++
 		return
 	}
 	m.w.Stats.AcquireNub++
-	m.g.acquireSlow(e, "Resume(m"+strconv.Itoa(int(m.id))+")", onAcquired)
+	m.g.acquireSlow(e, m.resumeReason, on)
 }
 
 // Release frees the mutex and, if threads are queued, moves one to the
 // ready pool. The uncontended path is 3 instructions (clear, queue test,
 // branch).
 func (m *Mutex) Release(e *sim.Env) {
-	self := m.w.state(e.Self()).id
-	onReleased := func() { m.w.emit(e, spec.Release{T: self, M: m.id}) }
+	on := lin{op: linRelease, e: e, st: m.w.state(e.Self()), obj: int(m.id)}
 	if m.w.opts.NoUserFastPath {
-		m.g.releaseNubOnly(e, onReleased)
+		m.g.releaseNubOnly(e, on)
 		return
 	}
-	if m.g.release(e, onReleased) {
+	if m.g.release(e, on) {
 		m.w.Stats.ReleaseNub++
 	} else {
 		m.w.Stats.ReleaseFast++
@@ -78,7 +87,7 @@ func (m *Mutex) Release(e *sim.Env) {
 // releaseSilent releases inside Wait/AlertWait (the Enqueue event covers
 // the m' = NIL transition).
 func (m *Mutex) releaseSilent(e *sim.Env) {
-	if m.g.release(e, nil) {
+	if m.g.release(e, lin{}) {
 		m.w.Stats.ReleaseNub++
 	} else {
 		m.w.Stats.ReleaseFast++
@@ -94,13 +103,25 @@ type Semaphore struct {
 	w  *World
 	id spec.SemID
 	g  gate
+	// pReason and alertPReason name the semaphore's slow-path blocks in
+	// deadlock reports.
+	pReason, alertPReason string
 }
 
 // NewSemaphore creates a semaphore (INITIALLY available).
 func (w *World) NewSemaphore() *Semaphore {
 	w.nextSem++
-	s := &Semaphore{w: w, id: w.nextSem}
-	s.g.w = w
+	if int(w.nextSem) > len(w.sems) {
+		n := strconv.Itoa(int(w.nextSem))
+		w.sems = append(w.sems, &Semaphore{
+			w:            w,
+			id:           w.nextSem,
+			pReason:      "P(s" + n + ")",
+			alertPReason: "AlertP(s" + n + ")",
+		})
+	}
+	s := w.sems[w.nextSem-1]
+	s.g.reset(w, false)
 	w.registerGate(&s.g)
 	return s
 }
@@ -110,42 +131,40 @@ func (s *Semaphore) ID() spec.SemID { return s.id }
 
 // P blocks until the semaphore is available and takes it.
 func (s *Semaphore) P(e *sim.Env) {
-	self := s.w.state(e.Self()).id
-	onAcquired := func() { s.w.emit(e, spec.P{T: self, S: s.id}) }
+	on := lin{op: linP, e: e, st: s.w.state(e.Self()), obj: int(s.id)}
 	if s.w.opts.NoUserFastPath {
-		s.g.acquireNubOnly(e, "P(s"+strconv.Itoa(int(s.id))+")", onAcquired)
+		s.g.acquireNubOnly(e, s.pReason, on)
 		return
 	}
-	if s.g.tryAcquire(e, onAcquired) {
+	if s.g.tryAcquire(e, on) {
 		return
 	}
-	s.g.acquireSlow(e, "P(s"+strconv.Itoa(int(s.id))+")", onAcquired)
+	s.g.acquireSlow(e, s.pReason, on)
 }
 
 // V makes the semaphore available, waking one queued thread if any.
 func (s *Semaphore) V(e *sim.Env) {
-	self := s.w.state(e.Self()).id
-	onReleased := func() { s.w.emit(e, spec.V{T: self, S: s.id}) }
+	on := lin{op: linV, e: e, st: s.w.state(e.Self()), obj: int(s.id)}
 	if s.w.opts.NoUserFastPath {
-		s.g.releaseNubOnly(e, onReleased)
+		s.g.releaseNubOnly(e, on)
 		return
 	}
-	s.g.release(e, onReleased)
+	s.g.release(e, on)
 }
 
 // AlertP is P, except that it may report the caller's pending alert
 // instead of acquiring; it returns true if alerted. When both outcomes are
 // possible the implementation chooses arbitrarily (experiment E8).
 func (s *Semaphore) AlertP(e *sim.Env) (alerted bool) {
-	self := s.w.state(e.Self()).id
-	onAcquired := func() { s.w.emit(e, spec.AlertPReturn{T: self, S: s.id}) }
-	onAlerted := func() { s.w.emit(e, spec.AlertPRaise{T: self, S: s.id}) }
+	onAcquired := lin{op: linAlertPReturn, e: e, st: s.w.state(e.Self()), obj: int(s.id)}
+	onAlerted := onAcquired
+	onAlerted.op = linAlertPRaise
 	if s.g.tryAcquire(e, onAcquired) {
 		// Both WHEN clauses may have been enabled; the fast path chooses
 		// RETURNS, as the Firefly implementation did.
 		return false
 	}
-	return s.g.alertableAcquireSlow(e, "AlertP(s"+strconv.Itoa(int(s.id))+")", onAcquired, onAlerted)
+	return s.g.alertableAcquireSlow(e, s.alertPReason, onAcquired, onAlerted)
 }
 
 // Available reports the lock bit without simulating an access.

@@ -52,16 +52,16 @@ type WorldOptions struct {
 	BuggyAlertSeize bool
 }
 
-// NewWorldOpts is NewWorld with ablation options.
+// NewWorldOpts is NewWorld with ablation options: a new World's first
+// Reset.
 func NewWorldOpts(cfg sim.Config, opts WorldOptions) (*World, *Kernel) {
-	w, k := NewWorld(cfg)
-	w.opts = opts
-	return w, k
+	w := new(World)
+	return w, w.Reset(cfg, opts)
 }
 
 // acquireNubOnly is the ablated Acquire: the whole operation runs under the
 // Nub spin lock — test the bit, take it or queue and deschedule.
-func (g *gate) acquireNubOnly(e *sim.Env, reason string, onAcquired func()) {
+func (g *gate) acquireNubOnly(e *sim.Env, reason string, onAcquired lin) {
 	w := g.w
 	self := e.Self()
 	st := w.state(self)
@@ -73,9 +73,7 @@ func (g *gate) acquireNubOnly(e *sim.Env, reason string, onAcquired func()) {
 			if g.pi {
 				g.holder = self
 			}
-			if onAcquired != nil {
-				onAcquired()
-			}
+			onAcquired.run(g.w)
 			w.nubUnlock(e)
 			w.Stats.AcquireNub++
 			return
@@ -93,7 +91,7 @@ func (g *gate) acquireNubOnly(e *sim.Env, reason string, onAcquired func()) {
 
 // releaseNubOnly is the ablated Release: clear the bit and wake a waiter,
 // all under the spin lock.
-func (g *gate) releaseNubOnly(e *sim.Env, onReleased func()) {
+func (g *gate) releaseNubOnly(e *sim.Env, onReleased lin) {
 	w := g.w
 	e.Work(callCost)
 	w.nubLock(e)
@@ -103,9 +101,7 @@ func (g *gate) releaseNubOnly(e *sim.Env, onReleased func()) {
 		g.holder = nil
 	}
 	e.Store(&g.lockBit, 0)
-	if onReleased != nil {
-		onReleased()
-	}
+	onReleased.run(g.w)
 	for {
 		t := g.q.pop(e)
 		if t == nil {

@@ -51,8 +51,8 @@ type World struct {
 	// nub is the global spin-lock bit protecting all Nub data structures.
 	nub sim.Word
 	// states holds each simulated thread's synchronization state, indexed
-	// by its dense kernel ID; nil until the thread first touches a
-	// primitive.
+	// by its dense kernel ID; nil, or reset to an id of 0, until the thread
+	// first touches a primitive in the run.
 	states []*tstate
 	// traced enables spec-action emission.
 	traced bool
@@ -72,8 +72,20 @@ type World struct {
 	gates  []*gate
 	nGates int
 	nConds int
-	// conds lists every condition variable, for CheckConditions.
-	conds []*Condition
+	// mutexes, sems, conds and timers hold every object of each kind the
+	// world has made, in creation order. A reset world hands them out
+	// again, so the n-th NewMutex of every run returns the same Mutex;
+	// the next* counters say how many this run has taken.
+	mutexes   []*Mutex
+	sems      []*Semaphore
+	conds     []*Condition
+	timers    []*DeadlineTimer
+	nextTimer int
+	// digestFn is the digester registered with every run's kernel, and
+	// woken is Broadcast's scratch list of threads to ready (used under
+	// the Nub spin lock only).
+	digestFn func(*sim.Hash128)
+	woken    []*sim.T
 }
 
 // Kernel is re-exported so callers need only import simthreads for common
@@ -92,7 +104,8 @@ type Stats struct {
 
 // tstate is one thread's synchronization state, protected by the Nub spin
 // lock (except alerted's pending-read in user code, which is racy in the
-// same benign way the real flag read is).
+// same benign way the real flag read is). An id of 0 marks a state that
+// no thread has touched since the world was made or reset.
 type tstate struct {
 	id       spec.ThreadID
 	alerted  bool
@@ -105,7 +118,10 @@ type tstate struct {
 	// exactly as the transfer makes them adjacent in the abstract state.
 	// Emitting at the recipient's wakeup instead would let a concurrent
 	// V+P pair overtake the recorded order and fail conformance.
-	handoffEmit func()
+	handoffEmit lin
+	// removed is the one-element Removed list of a Signal that wakes this
+	// thread: its own spec ID, fixed for the run.
+	removed [1]spec.ThreadID
 	// basePri and donations implement priority inheritance (priority.go):
 	// the thread's effective priority — what the kernel schedules by — is
 	// max(basePri, donations values). basePri is captured at first contact,
@@ -170,18 +186,52 @@ func (q *tqueue) empty() bool { return len(q.items) == 0 }
 
 // NewWorld creates a World over a fresh kernel built from cfg.
 func NewWorld(cfg sim.Config) (*World, *Kernel) {
-	k := sim.NewKernel(cfg)
-	w := &World{
-		k:      k,
-		states: make([]*tstate, 0, 8), // a litmus program's threads: one allocation
-		traced: cfg.Trace != nil,
+	return NewWorldOpts(cfg, WorldOptions{})
+}
+
+// Reset returns w and its kernel, reset to cfg, to the state
+// NewWorldOpts(cfg, opts) builds, and returns the kernel. It keeps the
+// storage of both: the kernel's (see sim.Kernel.Reset), every thread's
+// synchronization state, and the objects the New* methods made, which
+// they hand out again in creation order. Nothing of the previous run may
+// be used once Reset is called, and Reset must not be called while the
+// kernel runs.
+func (w *World) Reset(cfg sim.Config, opts WorldOptions) *Kernel {
+	k := w.k
+	if k == nil {
+		k = sim.NewKernel(cfg)
+		w.k = k
+		w.states = make([]*tstate, 0, 8) // a litmus program's threads: one allocation
+		w.digestFn = w.digest
+	} else {
+		k.Reset(cfg)
 	}
+	for _, st := range w.states {
+		if st != nil {
+			st.reset()
+		}
+	}
+	w.nub.Poke(0)
+	w.traced = cfg.Trace != nil
+	w.nextMutex, w.nextCond, w.nextSem, w.nextTimer = 0, 0, 0, 0
+	w.Stats = Stats{}
+	w.opts = opts
+	w.queues, w.gates = w.queues[:0], w.gates[:0]
+	w.nGates, w.nConds = 0, 0
 	// Anything may be emitted under the Nub spin lock, so its word carries
 	// every scope bit; the digester folds queue and tstate contents into
 	// explorer state fingerprints.
 	k.SetWordScope(&w.nub, ^uint64(0))
-	k.AddDigester(w.digest)
-	return w, k
+	k.AddDigester(w.digestFn)
+	return k
+}
+
+// reset returns st to the state of a thread no primitive has touched,
+// keeping its donation map's storage.
+func (st *tstate) reset() {
+	d := st.donations
+	clear(d)
+	*st = tstate{donations: d}
 }
 
 // state returns (creating on demand) the synchronization state of t.
@@ -193,11 +243,16 @@ func (w *World) state(t *sim.T) *tstate {
 	}
 	st := w.states[id]
 	if st == nil {
+		st = new(tstate)
+		w.states[id] = st
+	}
+	if st.id == 0 {
 		// spec IDs are 1-based; 0 is NIL. basePri is the thread's priority
 		// at first contact: no donation can target a thread before it has a
 		// tstate, so the current priority is the undonated base.
-		st = &tstate{id: spec.ThreadID(id + 1), basePri: t.Priority()}
-		w.states[id] = st
+		st.id = spec.ThreadID(id + 1)
+		st.removed[0] = st.id
+		st.basePri = t.Priority()
 	}
 	return st
 }
@@ -226,4 +281,66 @@ func (w *World) emit(e *sim.Env, a spec.Action) {
 	if w.traced {
 		e.Emit(a)
 	}
+}
+
+// lin is the action an operation performs at its linearization point,
+// held as a value so that no operation builds a closure for it: op names
+// the spec action, filled in from the operating thread's state st and the
+// object IDs. e is that thread's Env, also when a direct hand-off runs the
+// action in the releaser's slice. The zero lin does nothing.
+type lin struct {
+	op  linOp
+	e   *sim.Env
+	st  *tstate
+	obj int // the mutex's or the semaphore's ID
+	c   spec.CondID
+}
+
+type linOp uint8
+
+const (
+	linNone linOp = iota
+	linAcquire
+	linRelease
+	linP
+	linV
+	linAlertPReturn
+	linAlertPRaise
+	linResume
+	linAlertResumeReturn
+	linAlertResumeRaise // also consumes the thread's alert
+)
+
+// run performs l: it emits l's action, and a raising AlertWait consumes
+// the thread's alert first.
+func (l *lin) run(w *World) {
+	if l.op == linAlertResumeRaise {
+		l.st.alerted = false
+	}
+	if !w.traced || l.op == linNone {
+		return
+	}
+	t, m, s := l.st.id, spec.MutexID(l.obj), spec.SemID(l.obj)
+	var a spec.Action
+	switch l.op {
+	case linAcquire:
+		a = spec.Acquire{T: t, M: m}
+	case linRelease:
+		a = spec.Release{T: t, M: m}
+	case linP:
+		a = spec.P{T: t, S: s}
+	case linV:
+		a = spec.V{T: t, S: s}
+	case linAlertPReturn:
+		a = spec.AlertPReturn{T: t, S: s}
+	case linAlertPRaise:
+		a = spec.AlertPRaise{T: t, S: s}
+	case linResume:
+		a = spec.Resume{T: t, M: m, C: l.c}
+	case linAlertResumeReturn:
+		a = spec.AlertResumeReturn{T: t, M: m, C: l.c}
+	case linAlertResumeRaise:
+		a = spec.AlertResumeRaise{T: t, M: m, C: l.c, Variant: spec.VariantFinal}
+	}
+	l.e.Emit(a)
 }

@@ -78,6 +78,22 @@ func New() *Checker {
 	}
 }
 
+// Reset returns c to New's initial state, keeping its storage. A
+// condition's record stays, emptied, which Apply cannot tell from an
+// absent one.
+func (c *Checker) Reset() {
+	clear(c.mutexes)
+	clear(c.sems)
+	clear(c.alerts)
+	clear(c.pris)
+	for _, cs := range c.conds {
+		clear(cs.members)
+		cs.lastUnblock = 0
+	}
+	c.applied = 0
+	c.lastSeq = 0
+}
+
 func (c *Checker) cond(id spec.CondID) *condState {
 	cs, ok := c.conds[id]
 	if !ok {
@@ -275,8 +291,12 @@ func (c *Checker) Feed(events []Event) error {
 
 // CheckAll replays a whole trace, returning the count of events accepted
 // and the first violation, if any.
-func CheckAll(events []Event) (int, error) {
-	c := New()
+func CheckAll(events []Event) (int, error) { return New().CheckAll(events) }
+
+// CheckAll is the package's CheckAll on c's storage: it resets c, then
+// replays the whole trace.
+func (c *Checker) CheckAll(events []Event) (int, error) {
+	c.Reset()
 	for _, ev := range events {
 		if err := c.Apply(ev); err != nil {
 			return c.applied, err
