@@ -47,6 +47,11 @@
 # prints those metrics as it prints perfbench's. The raw lines are also
 # appended to a .txt file beside the .jsonl, under "session:" and "side:"
 # lines, so `benchstat -col side FILE` reads it (one table per session).
+# When base's test binary lists no benchmark matching REGEXP (-test.list,
+# with REGEXP's part before any "/"), the benchmark is new: head's
+# *_test.go files of PKG are copied over base's in the worktree, base's
+# binary is rebuilt, the copied files are named, and the worktree's PKG is
+# restored. If that build fails, the run exits 1 and names the files.
 #
 # Environment:
 #   SEED    perfbench seed (default 1)
@@ -96,6 +101,22 @@ if [ ! -e "$wt/go.mod" ]; then
 fi
 if [ -n "$pkg" ]; then
     (cd "$wt" && go test -c -o "$abdir/base.test" "$pkg") >&2
+    listed=$(cd "$wt/$pkg" && "$abdir/base.test" -test.list "${regexp%%/*}") || {
+        echo "ab: base's test binary of $pkg failed to list its benchmarks" >&2
+        exit 1
+    }
+    if ! grep -q '^Benchmark' <<<"$listed"; then
+        overlay=$(cd "$pkg" && echo *_test.go)
+        (cd "$pkg" && cp -- *_test.go "$wt/$pkg/")
+        echo "ab: base lists no benchmark matching '$regexp'; overlaid head's test files of $pkg: $overlay" >&2
+        built=1
+        (cd "$wt" && go test -c -o "$abdir/base.test" "$pkg") >&2 || built=0
+        (cd "$wt" && git checkout -q -- "$pkg" && git clean -fq -- "$pkg")
+        if [ "$built" = 0 ]; then
+            echo "ab: base does not build with head's test files of $pkg: $overlay" >&2
+            exit 1
+        fi
+    fi
     go test -c -o "$abdir/head.test" "$pkg" >&2
 fi
 

@@ -266,6 +266,17 @@ func CollectRegressionMetrics(quick bool) (Baseline, error) {
 	add("park.ns_per_park", nsPark, "lower", false, 0)
 	add("park.allocs_per_park", allocsPark, "lower", true, 0.05)
 
+	// A thread's whole life: Fork of an empty function and its Join. The
+	// Thread, its cached waiter and that waiter's channel, the done
+	// channel and the goroutine's closure make 5 allocations; a start-up
+	// handshake or an eagerly formatted name would add to them.
+	_, allocsFork := timeAndAllocs(20_000, func(n int) {
+		for i := 0; i < n; i++ {
+			core.Join(core.Fork(func() {}))
+		}
+	})
+	add("fork.allocs_per_forkjoin", allocsFork, "lower", true, 0.05)
+
 	// E19: mixed-priority tail latency. Both runs are deterministic
 	// simulator workloads (fixed seed, no wall clock), so the percentiles
 	// are exact and the stable tolerance guards the priority-inheritance

@@ -195,7 +195,7 @@ func (m *Mutex) AcquireDeadline(deadline time.Time) (err error) {
 	t := Self()
 	mode := instr.Load()
 	if mode&instrCheck != 0 && m.holder.Load() == t.id {
-		panic("threads: recursive AcquireDeadline would deadlock: " + t.name + " already holds the mutex")
+		panic("threads: recursive AcquireDeadline would deadlock: " + t.Name() + " already holds the mutex")
 	}
 	e := t.armDeadline(deadline)
 	if e == nil {

@@ -47,7 +47,7 @@ func (m *Mutex) acquireSlow() {
 	mode := instr.Load()
 	t := m.self(mode)
 	if mode&instrCheck != 0 && m.holder.Load() == t.id {
-		panic("threads: recursive Acquire would deadlock: " + t.name + " already holds the mutex")
+		panic("threads: recursive Acquire would deadlock: " + t.Name() + " already holds the mutex")
 	}
 	m.g.acquire(t, &mutexGateStats, traceCtxFor(mode, TraceAcquire, t))
 	m.entered(mode, t)
@@ -157,7 +157,7 @@ func (m *Mutex) leaving(mode uint32, t *Thread, op string) {
 // so a misuse panics with the condition untouched.
 func (m *Mutex) requireHolder(t *Thread, op string) {
 	if m.holder.Load() != t.id {
-		panic("threads: " + op + " REQUIRES m = SELF violated by " + t.name)
+		panic("threads: " + op + " REQUIRES m = SELF violated by " + t.Name())
 	}
 }
 

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +21,7 @@ import (
 // goroutine that adopts (see the registry comment).
 type Thread struct {
 	id   uint64
-	name string
+	name string // as given to ForkNamed; "" means the default (see Name)
 
 	// gid is an adopted thread's goroutine id, which Self re-checks on
 	// every registry hit (see the registry comment); zero for Fork'd
@@ -194,15 +194,25 @@ func (t *Thread) recalcPriLocked() {
 // ID returns a process-unique identifier for the thread.
 func (t *Thread) ID() uint64 { return t.id }
 
-// Name returns the thread's name ("thread-<id>" unless set by ForkNamed).
-func (t *Thread) Name() string { return t.name }
+// Name returns the name given to ForkNamed, else "thread-<id>" for a
+// Fork'd thread and "adopted-<id>" for an adopted one. The default is
+// formatted on demand, so Fork and adoption build no string.
+func (t *Thread) Name() string {
+	switch {
+	case t.name != "":
+		return t.name
+	case t.done == nil:
+		return "adopted-" + strconv.FormatUint(t.id, 10)
+	}
+	return "thread-" + strconv.FormatUint(t.id, 10)
+}
 
 // String implements fmt.Stringer.
 func (t *Thread) String() string {
 	if t == nil {
 		return "NIL"
 	}
-	return t.name
+	return t.Name()
 }
 
 var threadIDs atomic.Uint64
@@ -317,19 +327,16 @@ func Self() *Thread {
 	if t != nil && t.gid == gid {
 		return t
 	}
-	t = newThread("adopted")
-	t.gid = gid
+	t = &Thread{id: threadIDs.Add(1), gid: gid}
 	registerThread(key, t)
 	return t
 }
 
-func newThread(kind string) *Thread {
-	id := threadIDs.Add(1)
-	return &Thread{id: id, name: fmt.Sprintf("%s-%d", kind, id)}
-}
-
-// Fork runs fn as a new thread and returns its handle immediately. The
-// thread's registry entry is removed when fn returns, and Join unblocks.
+// Fork runs fn as a new thread and returns its handle immediately: the new
+// thread may not have run yet, but Alert and Join on the handle are valid
+// at once. The thread registers itself before fn runs, so SELF on it is
+// its handle; its registry entry is removed when fn returns, and then Join
+// unblocks.
 func Fork(fn func()) *Thread {
 	return forkNamedPri("", 0, fn)
 }
@@ -352,10 +359,7 @@ func ForkNamedPri(name string, pri int, fn func()) *Thread {
 }
 
 func forkNamedPri(name string, pri int, fn func()) *Thread {
-	t := newThread("thread")
-	if name != "" {
-		t.name = name
-	}
+	t := &Thread{id: threadIDs.Add(1), name: name, parkW: newWaiter(), done: make(chan struct{})}
 	if pri != 0 {
 		prioInUse.Store(true)
 		t.basePri.Store(int32(pri))
@@ -370,22 +374,15 @@ func forkNamedPri(name string, pri int, fn func()) *Thread {
 			traceEmit(nextTraceSeq(), kind, t.id, uint64(int64(pri)), 0, false)
 		}
 	}
-	t.parkW = newWaiter()
-	t.done = make(chan struct{})
-	ready := make(chan struct{})
 	go func() {
 		key := gkey()
 		registerThread(key, t)
-		close(ready)
 		defer func() {
 			unregisterThread(key)
 			close(t.done)
 		}()
 		fn()
 	}()
-	// Fork returns only after the child has started and registered itself,
-	// so the new thread is running by the time its caller goes on.
-	<-ready
 	return t
 }
 

@@ -86,6 +86,14 @@
 //	threads.Alert(t)
 //	threads.Join(t)
 //
+// Fork does not wait for the new thread to run: when it returns, the
+// thread may not have started, but Alert and Join on its handle are valid
+// at once, and an alert sent before the thread runs is pending when it
+// does. Alert on a thread whose function has returned is benign: it never
+// panics or blocks, the alert stays pending on the dead thread's record
+// (AlertPending reports it), and it leaves no registration or goroutine
+// behind.
+//
 // # Fidelity
 //
 // The implementation follows the paper's Firefly implementation: an
@@ -137,10 +145,13 @@ type Stats = core.Stats
 // by Alert; it corresponds to the specification's EXCEPTION Alerted.
 var Alerted = core.Alerted
 
-// Fork runs fn as a new thread and returns its handle.
+// Fork runs fn as a new thread and returns its handle without waiting for
+// the thread to run: it may not have started when Fork returns, but Alert
+// and Join on the handle are valid at once. Inside fn, Self is the handle.
 func Fork(fn func()) *Thread { return core.Fork(fn) }
 
-// ForkNamed is Fork with a thread name for diagnostics.
+// ForkNamed is Fork with a thread name for diagnostics. Like Fork, it
+// returns without waiting for the thread to run.
 func ForkNamed(name string, fn func()) *Thread { return core.ForkNamed(name, fn) }
 
 // ForkPri is Fork with an initial scheduling priority (larger is more
@@ -149,7 +160,9 @@ func ForkNamed(name string, fn func()) *Thread { return core.ForkNamed(name, fn)
 // when a Release, V, Signal or Broadcast wakes a blocked thread, the
 // highest-priority waiter is chosen, FIFO within a band, so equal-priority
 // programs keep the old fairness exactly. A thread's priority can be
-// changed later with (*Thread).SetPriority.
+// changed later with (*Thread).SetPriority. The priority is installed
+// before Fork returns; like Fork, ForkPri does not wait for the thread to
+// run.
 func ForkPri(pri int, fn func()) *Thread { return core.ForkPri(pri, fn) }
 
 // ForkNamedPri combines ForkNamed and ForkPri.
