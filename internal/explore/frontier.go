@@ -10,8 +10,8 @@ import (
 // pool. A single serial "probe" engine expands the root into work items —
 // forced prefixes whose subtrees partition the space — until there are
 // several per worker; workers then exhaust the subtrees independently with
-// engine.dfs, a shared atomic counter enforces MaxSchedules, and the first
-// violation cancels the rest of the pool through boundShared.done.
+// engine.dfs, and the first violation cancels the rest of the pool through
+// boundShared.done.
 //
 // Determinism: a probe run of an item follows the default past its prefix,
 // so it is the leftmost schedule of the item's subtree, and the probe
@@ -51,7 +51,6 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 		case res.Aborted:
 			out.ks.CacheHits++
 		default:
-			sh.countSchedule()
 			out.ks.Schedules++
 			out.ks.MaxDepth = max(out.ks.MaxDepth, len(res.Decisions))
 		}

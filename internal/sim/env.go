@@ -14,9 +14,8 @@ type Word struct {
 	v     uint64
 	id    uint32 // 1-based position in the kernel's words; 0 = unregistered
 	scope uint64
-	// awaiting lists the threads blocked in TASAwait on the word, and
-	// watchers those blocked in an AwaitChange naming it.
-	awaiting []*T
+	// watchers lists the threads blocked in a TASAwait or an AwaitChange
+	// naming the word.
 	watchers []*T
 }
 
@@ -93,9 +92,6 @@ func (e *Env) Load(w *Word) uint64 {
 func (e *Env) Store(w *Word, v uint64) {
 	e.yieldPoint(opInstr, e.k.cost.Store, e.declare(w, AccessWrite))
 	w.v = v
-	if v == 0 {
-		e.wakeAwaiters(w)
-	}
 	e.notifyWatchers(w)
 }
 
@@ -116,23 +112,21 @@ func (e *Env) TAS(w *Word) uint64 {
 func (e *Env) Add(w *Word, d uint64) uint64 {
 	e.yieldPoint(opInstr, e.k.cost.Store, e.declare(w, AccessWrite))
 	w.v += d
-	if w.v == 0 {
-		e.wakeAwaiters(w)
-	}
 	e.notifyWatchers(w)
 	e.t.obs = obsMix(e.t.obs, w.v)
 	return w.v
 }
 
 // TASAwait is TAS that blocks instead of busy-waiting: if the word is set,
-// the calling thread deschedules until some thread stores (or adds) zero to
-// it, then retries. Semantically it is the WHEN-guarded atomic action a
-// test-and-set spin loop implements — the thread makes no progress and
-// touches nothing until the word clears — but because the waiting is
-// blocking rather than spinning, a controlled scheduler (Config.Choose)
-// sees a finite decision tree instead of an unbounded spin. Instruction
-// accounting differs from an explicit spin loop (the retries are not
-// charged), so performance experiments should keep the spin.
+// the calling thread deschedules until some thread changes it from the
+// value it read, then retries. Semantically it is the WHEN-guarded atomic
+// action a test-and-set spin loop implements — the thread makes no
+// progress and touches nothing until the word clears — but because the
+// waiting is blocking rather than spinning, a controlled scheduler
+// (Config.Choose) sees a finite decision tree instead of an unbounded
+// spin. Instruction accounting differs from an explicit spin loop (the
+// retries are not charged), so performance experiments should keep the
+// spin.
 func (e *Env) TASAwait(w *Word) {
 	// TASAwait steps always carry Sched=true: a successful acquisition of
 	// the Nub lock opens a critical section whose windows mutate scheduler
@@ -147,15 +141,7 @@ func (e *Env) TASAwait(w *Word) {
 			return
 		}
 		e.t.obs = obsMix(e.t.obs, w.v)
-		w.awaiting = append(w.awaiting, e.t)
-		e.t.blockReason = "awaiting word clear"
-		e.t.resumeFP = fp
-		e.yieldPoint(opBlock, 0, fp)
-		e.t.blockReason = ""
-		// Deregister in case the deschedule was consumed by a pending
-		// wakeup that arrived for another reason; a stale registration
-		// would later wake us out of thin air.
-		w.unawait(e.t)
+		e.watch("awaiting word clear", fp, WordVal{W: w, Old: w.v})
 	}
 }
 
@@ -196,21 +182,30 @@ func (e *Env) AwaitChange(wv ...WordVal) {
 				return
 			}
 		}
-		t := e.t
-		t.awaitWV = append(t.awaitWV[:0], wv...)
-		for _, p := range wv {
-			p.W.watchers = append(p.W.watchers, t)
-		}
-		t.blockReason = "awaiting word change"
-		t.resumeFP = fp
-		e.yieldPoint(opBlock, 0, fp)
-		t.blockReason = ""
-		t.unwatch()
+		e.watch("awaiting word change", fp, wv...)
 	}
 }
 
-// notifyWatchers wakes every thread blocked in AwaitChange on w whose
-// predicate now holds (some watched word changed from its recorded value).
+// watch blocks the thread on the watcher lists of wv's words until some
+// word changes from its paired Old. It deregisters after waking, in case
+// the deschedule was consumed by a pending wakeup that arrived for another
+// reason: a stale registration would later wake it out of thin air.
+func (e *Env) watch(reason string, fp Footprint, wv ...WordVal) {
+	t := e.t
+	t.awaitWV = append(t.awaitWV[:0], wv...)
+	for _, p := range wv {
+		p.W.watchers = append(p.W.watchers, t)
+	}
+	t.blockReason = reason
+	t.resumeFP = fp
+	e.yieldPoint(opBlock, 0, fp)
+	t.blockReason = ""
+	t.unwatch()
+}
+
+// notifyWatchers wakes every thread blocked in TASAwait or AwaitChange on w
+// whose predicate now holds (some watched word changed from its recorded
+// value).
 func (e *Env) notifyWatchers(w *Word) {
 	if len(w.watchers) == 0 {
 		return
@@ -240,25 +235,6 @@ func (t *T) unwatch() {
 				p.W.watchers = append(p.W.watchers[:i], p.W.watchers[i+1:]...)
 				break
 			}
-		}
-	}
-}
-
-// wakeAwaiters readies every thread blocked in TASAwait on w.
-func (e *Env) wakeAwaiters(w *Word) {
-	ts := w.awaiting
-	w.awaiting = ts[:0] // MakeReady never registers, so ts stays intact
-	for _, t := range ts {
-		e.MakeReady(t)
-	}
-}
-
-// unawait removes t from w's await list if still present.
-func (w *Word) unawait(t *T) {
-	for i, x := range w.awaiting {
-		if x == t {
-			w.awaiting = append(w.awaiting[:i], w.awaiting[i+1:]...)
-			return
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 //     scheduler state (ready pool, wakeups, thread flags). The explorer's
 //     partial-order reduction derives an independence relation from these.
 //   - state fingerprints: a 128-bit hash of the canonical machine state
-//     (threads, registered words, await/watch sets, plus client-registered
+//     (threads, registered words, watch sets, plus client-registered
 //     digesters for state the kernel cannot see) taken at decision points.
 //     The explorer's state cache prunes subtrees whose fingerprint was
 //     already explored with at least as much preemption budget.
@@ -91,7 +91,6 @@ func (k *Kernel) Abort() { k.aborted = true }
 func (k *Kernel) wordID(w *Word) uint32 {
 	if w.id == 0 || int(w.id) > len(k.words) || k.words[w.id-1] != w {
 		w.scope = 0
-		w.awaiting = w.awaiting[:0]
 		w.watchers = w.watchers[:0]
 		k.words = append(k.words, w)
 		w.id = uint32(len(k.words)) // IDs start at 1; 0 means "no word"
@@ -118,7 +117,7 @@ func (k *Kernel) AddDigester(fn func(*Hash128)) {
 
 // Fingerprint hashes the canonical machine state: every thread's lifecycle
 // state, scheduling flags, observation history and declared next access;
-// every registered word's value; the await and watch sets; and whatever
+// every registered word's value; the watch sets; and whatever
 // the registered digesters contribute. Two runs of the same program that
 // reach equal fingerprints at decision points are (up to hash collision)
 // in identical states: thread code position and locals are determined by
@@ -150,15 +149,7 @@ func (k *Kernel) Fingerprint() (uint64, uint64) {
 	for _, w := range k.words {
 		h.Add(w.v)
 	}
-	// The wait sets, in word-ID order: TASAwait's, then AwaitChange's.
-	for _, w := range k.words {
-		if len(w.awaiting) > 0 {
-			h.Add(uint64(w.id) | 1<<40)
-			for _, t := range w.awaiting {
-				h.Add(uint64(t.id))
-			}
-		}
-	}
+	// The wait sets, in word-ID order.
 	for _, w := range k.words {
 		if len(w.watchers) > 0 {
 			h.Add(uint64(w.id) | 1<<41)

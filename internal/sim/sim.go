@@ -201,8 +201,9 @@ type T struct {
 	// stepSched is set when the current window wakes/creates a thread or
 	// changes a priority; the kernel folds it into the step's footprint.
 	stepSched bool
-	// awaitWV is what the thread's AwaitChange awaits while it is blocked
-	// there: its own copy, so the caller's list need not outlive the call.
+	// awaitWV is what the thread's TASAwait or AwaitChange awaits while it
+	// is blocked there: its own copy, so the caller's list need not outlive
+	// the call.
 	awaitWV []WordVal
 }
 

@@ -185,7 +185,7 @@ func (a Signal) CheckEnsures(pre *State) error {
 	set := pre.Conds[a.C]
 	for _, t := range a.Removed {
 		if !set.Contains(t) {
-			return fmt.Errorf("Signal removed t%d which was not in c%d = %s", t, a.C, set)
+			return fmt.Errorf("Signal ENSURES (c' = {}) | (c' ⊆ c): removed t%d, not in c%d = %s", t, a.C, set)
 		}
 	}
 	return nil
@@ -296,7 +296,7 @@ func (a TestAlert) Apply(s *State)        { s.Alerts.Delete(a.T) }
 // CheckEnsures verifies b = (SELF IN alerts) against the pre-state.
 func (a TestAlert) CheckEnsures(pre *State) error {
 	if want := pre.Alerts.Contains(a.T); a.Result != want {
-		return fmt.Errorf("TestAlert(t%d) returned %v but SELF IN alerts = %v", a.T, a.Result, want)
+		return fmt.Errorf("TestAlert ENSURES b = (SELF IN alerts): t%d returned %v, SELF IN alerts = %v", a.T, a.Result, want)
 	}
 	return nil
 }

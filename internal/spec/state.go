@@ -130,7 +130,10 @@ func (s ThreadSet) String() string {
 
 // State is a value of the specification's abstract state space. Variables
 // not present in a map have their INITIALLY value (NIL, {}, available), so
-// the zero State is the initial state of every program.
+// the zero State is the initial state of every program. The setters store
+// a variable's INITIALLY value rather than delete it: deleting a Go map's
+// last entry draws the map a new hash seed, which a replay that keeps
+// releasing one mutex would pay at every Release.
 type State struct {
 	Mutexes map[MutexID]ThreadID
 	Conds   map[CondID]ThreadSet
@@ -152,17 +155,23 @@ func NewState() *State {
 	}
 }
 
+// Reset returns s to the initial state, keeping its storage: each
+// condition's set stays, emptied, which no reader tells from an absent one.
+func (s *State) Reset() {
+	clear(s.Mutexes)
+	clear(s.Sems)
+	clear(s.Alerts)
+	clear(s.Pris)
+	for _, set := range s.Conds {
+		clear(set)
+	}
+}
+
 // Mutex returns the holder of m (NIL if unheld).
 func (s *State) Mutex(m MutexID) ThreadID { return s.Mutexes[m] }
 
 // SetMutex sets the holder of m.
-func (s *State) SetMutex(m MutexID, t ThreadID) {
-	if t == NIL {
-		delete(s.Mutexes, m)
-	} else {
-		s.Mutexes[m] = t
-	}
-}
+func (s *State) SetMutex(m MutexID, t ThreadID) { s.Mutexes[m] = t }
 
 // Cond returns the waiting set of c (never nil; lazily created).
 func (s *State) Cond(c CondID) ThreadSet {
@@ -183,31 +192,21 @@ func (s *State) CondHas(c CondID, t ThreadID) bool {
 func (s *State) Pri(t ThreadID) int { return s.Pris[t] }
 
 // SetPri sets t's effective priority.
-func (s *State) SetPri(t ThreadID, pri int) {
-	if pri == 0 {
-		delete(s.Pris, t)
-	} else {
-		s.Pris[t] = pri
-	}
-}
+func (s *State) SetPri(t ThreadID, pri int) { s.Pris[t] = pri }
 
 // SemAvailable reports whether semaphore sem is available.
 func (s *State) SemAvailable(sem SemID) bool { return !s.Sems[sem] }
 
 // SetSemAvailable sets sem's availability.
-func (s *State) SetSemAvailable(sem SemID, avail bool) {
-	if avail {
-		delete(s.Sems, sem)
-	} else {
-		s.Sems[sem] = true
-	}
-}
+func (s *State) SetSemAvailable(sem SemID, avail bool) { s.Sems[sem] = !avail }
 
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State {
 	c := NewState()
 	for m, t := range s.Mutexes {
-		c.Mutexes[m] = t
+		if t != NIL {
+			c.Mutexes[m] = t
+		}
 	}
 	for id, set := range s.Conds {
 		if len(set) > 0 {

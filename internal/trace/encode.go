@@ -25,6 +25,8 @@ type encodedEvent struct {
 	Target int    `json:"target,omitempty"` // Alert target
 	Rm     []int  `json:"removed,omitempty"`
 	Result bool   `json:"result,omitempty"`
+	Old    int    `json:"old,omitempty"` // priority before PriBoost/PriRestore
+	New    int    `json:"new,omitempty"` // and after
 }
 
 func encode(ev Event) (encodedEvent, error) {
@@ -62,6 +64,10 @@ func encode(ev Event) (encodedEvent, error) {
 	case spec.AlertResumeRaise:
 		// Recorded traces always use the final (corrected) semantics.
 		e.Kind, e.T, e.M, e.C = "AlertResume.Raise", int(a.T), int(a.M), int(a.C)
+	case spec.PriBoost:
+		e.Kind, e.T, e.Old, e.New = "PriBoost", int(a.T), a.Old, a.New
+	case spec.PriRestore:
+		e.Kind, e.T, e.Old, e.New = "PriRestore", int(a.T), a.Old, a.New
 	default:
 		return e, fmt.Errorf("trace: cannot encode action %T", ev.Action)
 	}
@@ -104,6 +110,10 @@ func decode(e encodedEvent) (Event, error) {
 		ev.Action = spec.AlertResumeReturn{T: t, M: spec.MutexID(e.M), C: spec.CondID(e.C)}
 	case "AlertResume.Raise":
 		ev.Action = spec.AlertResumeRaise{T: t, M: spec.MutexID(e.M), C: spec.CondID(e.C), Variant: spec.VariantFinal}
+	case "PriBoost":
+		ev.Action = spec.PriBoost{T: t, Old: e.Old, New: e.New}
+	case "PriRestore":
+		ev.Action = spec.PriRestore{T: t, Old: e.Old, New: e.New}
 	default:
 		return ev, fmt.Errorf("trace: unknown action kind %q", e.Kind)
 	}

@@ -27,6 +27,8 @@ func allActionKinds() []Event {
 		spec.AlertPRaise{T: 1, S: 5},
 		spec.AlertResumeReturn{T: 1, M: 2, C: 3},
 		spec.AlertResumeRaise{T: 1, M: 2, C: 3, Variant: spec.VariantFinal},
+		spec.PriBoost{T: 1, Old: 0, New: 3},
+		spec.PriRestore{T: 1, Old: 3, New: 1},
 	)
 }
 
@@ -81,12 +83,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestQuickEncodeRoundTrip: random legal traces survive the round trip and
-// still check cleanly afterwards.
+// TestQuickEncodeRoundTrip: random generated histories survive the round
+// trip and still check cleanly afterwards.
 func TestQuickEncodeRoundTrip(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := newLegalTraceGen(r, 3)
+		g := newSpecTraceGen(r, 3)
 		for steps := 0; steps < 120; steps++ {
 			g.step()
 		}

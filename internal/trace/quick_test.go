@@ -8,147 +8,121 @@ import (
 	"threads/internal/spec"
 )
 
-// legalTraceGen generates random *legal* histories of the interface by
-// simulating N client threads and a scheduler that only ever picks enabled
-// actions. Feeding the result to the checker must never produce a
-// violation: this property-tests the checker for false positives across a
-// far larger space than the hand-written cases.
-type legalTraceGen struct {
-	r      *rand.Rand
-	seq    uint64
-	events []Event
-
-	mutexHeld map[spec.MutexID]spec.ThreadID
-	semAvail  map[spec.SemID]bool
-	alerts    map[spec.ThreadID]bool
-	// waiting[t] is set when t is enqueued on cond 1 / mutex 1, with the
-	// seq of its Enqueue; justified records whether an unblock happened
-	// after it.
-	waiting   map[spec.ThreadID]uint64
-	lastUnblk uint64
-	// holding[t] — t holds mutex 1.
+// specTraceGen generates random histories of the interface from the
+// specification itself: each step draws one action of one thread and takes
+// it only if its Requires and When admit it on the generator's spec.State
+// (and, for TestAlert, CheckEnsures admits the drawn result), resolving
+// Signal's choice as one of Signal.Outcomes. Every history it generates is
+// one the specification admits, so the checker must replay each clean:
+// this property-tests the checker for false positives across a far larger
+// space than the hand-written cases.
+type specTraceGen struct {
+	r       *rand.Rand
+	s       *spec.State
+	events  []Event
 	threads []spec.ThreadID
+	// waiting marks the threads inside a Wait (false) or an AlertWait
+	// (true): after its Enqueue a thread acts again only through its
+	// Resume (once removed from c) or, in an AlertWait, through
+	// AlertResume.Raise.
+	waiting map[spec.ThreadID]bool
 }
 
-func newLegalTraceGen(r *rand.Rand, n int) *legalTraceGen {
-	g := &legalTraceGen{
-		r:         r,
-		mutexHeld: map[spec.MutexID]spec.ThreadID{},
-		semAvail:  map[spec.SemID]bool{1: true},
-		alerts:    map[spec.ThreadID]bool{},
-		waiting:   map[spec.ThreadID]uint64{},
-	}
+func newSpecTraceGen(r *rand.Rand, n int) *specTraceGen {
+	g := &specTraceGen{r: r, s: spec.NewState(), waiting: map[spec.ThreadID]bool{}}
 	for i := 1; i <= n; i++ {
 		g.threads = append(g.threads, spec.ThreadID(i))
 	}
 	return g
 }
 
-func (g *legalTraceGen) emit(a spec.Action) {
-	g.seq++
-	g.events = append(g.events, Event{Seq: g.seq, Action: a})
-}
-
-// step performs one random enabled action; returns false if none was
-// enabled for the chosen thread (the caller just retries).
-func (g *legalTraceGen) step() bool {
+// step tries one random action of one random thread; it emits nothing if
+// the specification does not admit it (the caller just retries).
+func (g *specTraceGen) step() {
 	const m, c, s = spec.MutexID(1), spec.CondID(1), spec.SemID(1)
 	t := g.threads[g.r.Intn(len(g.threads))]
-	if enq, isWaiting := g.waiting[t]; isWaiting {
-		// The thread is blocked in Wait; it can resume only when the
-		// mutex is free and an unblock justified it, or raise if alerted.
-		if g.mutexHeld[m] != spec.NIL {
-			return false
+	var a spec.Action
+	if alertable, waiting := g.waiting[t]; waiting {
+		switch {
+		case !alertable:
+			a = spec.Resume{T: t, M: m, C: c}
+		case g.r.Intn(2) == 0:
+			a = spec.AlertResumeReturn{T: t, M: m, C: c}
+		default:
+			a = spec.AlertResumeRaise{T: t, M: m, C: c, Variant: spec.VariantFinal}
 		}
-		if g.alerts[t] && g.r.Intn(2) == 0 {
-			g.emit(spec.AlertResumeRaise{T: t, M: m, C: c, Variant: spec.VariantFinal})
-			delete(g.alerts, t)
-			delete(g.waiting, t)
-			g.mutexHeld[m] = t
-			return true
+	} else {
+		switch g.r.Intn(13) {
+		case 0:
+			a = spec.Acquire{T: t, M: m}
+		case 1:
+			a = spec.Release{T: t, M: m}
+		case 2:
+			a = spec.Enqueue{T: t, M: m, C: c}
+		case 3:
+			a = g.signal(t, c)
+		case 4:
+			a = spec.Broadcast{T: t, C: c}
+		case 5:
+			a = spec.P{T: t, S: s}
+		case 6:
+			a = spec.V{T: t, S: s}
+		case 7:
+			a = spec.AlertPReturn{T: t, S: s}
+		case 8:
+			a = spec.AlertPRaise{T: t, S: s}
+		case 9:
+			a = spec.Alert{T: t, Target: g.threads[g.r.Intn(len(g.threads))]}
+		case 10:
+			a = spec.TestAlert{T: t, Result: g.r.Intn(2) == 0}
+		case 11:
+			a = spec.PriBoost{T: t, Old: g.r.Intn(3), New: g.r.Intn(4)}
+		case 12:
+			a = spec.PriRestore{T: t, Old: g.r.Intn(4), New: g.r.Intn(3)}
 		}
-		if g.lastUnblk > enq {
-			g.emit(spec.Resume{T: t, M: m, C: c})
-			delete(g.waiting, t)
-			g.mutexHeld[m] = t
-			return true
-		}
-		return false
 	}
-	switch g.r.Intn(9) {
-	case 0: // Acquire
-		if g.mutexHeld[m] != spec.NIL || g.holds(t) {
-			return false
-		}
-		g.emit(spec.Acquire{T: t, M: m})
-		g.mutexHeld[m] = t
-	case 1: // Release
-		if g.mutexHeld[m] != t {
-			return false
-		}
-		g.emit(spec.Release{T: t, M: m})
-		g.mutexHeld[m] = spec.NIL
-	case 2: // Enqueue (Wait)
-		if g.mutexHeld[m] != t {
-			return false
-		}
-		g.emit(spec.Enqueue{T: t, M: m, C: c})
-		g.mutexHeld[m] = spec.NIL
-		g.waiting[t] = g.seq
-	case 3: // Signal, possibly removing one waiting member
-		var removed []spec.ThreadID
-		for wt := range g.waiting {
-			if g.r.Intn(2) == 0 {
-				removed = []spec.ThreadID{wt}
-			}
-			break
-		}
-		g.emit(spec.Signal{T: t, C: c, Removed: removed})
-		g.lastUnblk = g.seq
-	case 4: // Broadcast
-		g.emit(spec.Broadcast{T: t, C: c})
-		g.lastUnblk = g.seq
-	case 5: // P
-		if !g.semAvail[s] {
-			return false
-		}
-		g.emit(spec.P{T: t, S: s})
-		g.semAvail[s] = false
-	case 6: // V
-		g.emit(spec.V{T: t, S: s})
-		g.semAvail[s] = true
-	case 7: // Alert a random thread
-		target := g.threads[g.r.Intn(len(g.threads))]
-		g.emit(spec.Alert{T: t, Target: target})
-		g.alerts[target] = true
-	case 8: // TestAlert with the correct result
-		g.emit(spec.TestAlert{T: t, Result: g.alerts[t]})
-		delete(g.alerts, t)
+	if a.Requires(g.s) != nil || !a.When(g.s) {
+		return
 	}
-	return true
+	if ta, ok := a.(spec.TestAlert); ok && ta.CheckEnsures(g.s) != nil {
+		return
+	}
+	a.Apply(g.s)
+	switch a.(type) {
+	case spec.Enqueue:
+		g.waiting[t] = g.r.Intn(2) == 0
+	case spec.Resume, spec.AlertResumeReturn, spec.AlertResumeRaise:
+		delete(g.waiting, t)
+	}
+	g.events = append(g.events, Event{Seq: uint64(len(g.events) + 1), Action: a})
 }
 
-func (g *legalTraceGen) holds(t spec.ThreadID) bool {
-	for _, h := range g.mutexHeld {
-		if h == t {
-			return true
+// signal draws one of the outcomes Signal's ENSURES admits and names the
+// members it removes.
+func (g *specTraceGen) signal(t spec.ThreadID, c spec.CondID) spec.Signal {
+	sig := spec.Signal{T: t, C: c}
+	outs := sig.Outcomes(g.s)
+	post := outs[g.r.Intn(len(outs))].Cond(c)
+	for _, w := range g.s.Conds[c].Members() {
+		if !post.Contains(w) {
+			sig.Removed = append(sig.Removed, w)
 		}
 	}
-	return false
+	return sig
 }
 
-// TestQuickLegalTracesAccepted: the checker accepts every randomly
-// generated legal history.
+// TestQuickLegalTracesAccepted: every history the specification generates
+// replays clean.
 func TestQuickLegalTracesAccepted(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := newLegalTraceGen(r, 3)
+		g := newSpecTraceGen(r, 3)
 		for steps := 0; steps < 200; steps++ {
 			g.step()
 		}
 		n, err := CheckAll(g.events)
 		if err != nil {
-			t.Logf("seed %d: legal trace rejected after %d events: %v", seed, n, err)
+			t.Logf("seed %d: generated history rejected after %d events: %v", seed, n, err)
 			return false
 		}
 		return true
@@ -164,7 +138,7 @@ func TestQuickLegalTracesAccepted(t *testing.T) {
 func TestQuickCorruptedTracesMostlyRejected(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := newLegalTraceGen(r, 3)
+		g := newSpecTraceGen(r, 3)
 		for steps := 0; steps < 100; steps++ {
 			g.step()
 		}
@@ -192,4 +166,43 @@ func TestQuickCorruptedTracesMostlyRejected(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCheckAllReusedAllocationFree: a Checker replaying into the storage
+// an earlier replay grew allocates nothing, as the explorer's runner
+// replays one trace per schedule.
+func TestCheckAllReusedAllocationFree(t *testing.T) {
+	events := generatedHistory(1, 400)
+	ck := New()
+	if _, err := ck.CheckAll(events); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _, _ = ck.CheckAll(events) }); allocs != 0 {
+		t.Errorf("CheckAll of %d events allocates %.1f objects per replay, want 0", len(events), allocs)
+	}
+}
+
+// BenchmarkCheckAll replays one generated history per iteration on a
+// reused Checker and reports the cost per event.
+func BenchmarkCheckAll(b *testing.B) {
+	events := generatedHistory(1, 400)
+	ck := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ck.CheckAll(events); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}
+
+// generatedHistory is the history steps attempts of a three-thread
+// specTraceGen draw from seed.
+func generatedHistory(seed int64, steps int) []Event {
+	g := newSpecTraceGen(rand.New(rand.NewSource(seed)), 3)
+	for i := 0; i < steps; i++ {
+		g.step()
+	}
+	return g.events
 }

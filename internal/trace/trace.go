@@ -10,21 +10,28 @@
 // guarantees exists; this package replays that sequence through the
 // specification's state machine and reports the first clause it violates.
 //
-// The checks are exactly the specification's safety clauses:
+// The Checker holds one spec.State and judges each event with the action's
+// own Requires, When, CheckEnsures and Apply. The replay adds only what the
+// specification cannot say about an observed trace:
 //
-//   - REQUIRES: Release and Wait's Enqueue only by the mutex holder.
-//   - WHEN at the linearization: Acquire/Resume fire only on a NIL mutex, P
-//     only on an available semaphore, AlertResume.Raise/AlertP.Raise only
-//     with SELF in alerts.
-//   - ENSURES-consistency: TestAlert's result equals SELF's membership in
-//     alerts; Signal removes only current members of c.
-//   - No wakeup without an unblocking event: a thread's Resume is accepted
-//     only if some Signal or Broadcast on c occurred after its Enqueue.
-//     This is the strongest check Signal's weak postcondition
-//     ((c' = {}) | (c' ⊆ c)) permits: the specification deliberately allows
-//     one Signal to release many racing waiters, so the checker may not
-//     insist on one-wakeup-per-Signal — only that no thread resumes out of
-//     thin air.
+//   - Enqueue pairing: a thread leaves a condition (Resume,
+//     AlertResume.Return or AlertResume.Raise) only after an Enqueue on it,
+//     and enqueues again only after leaving.
+//   - Unblock stamps: Signal's ENSURES (c' = {}) | (c' ⊆ c) leaves open
+//     which members it removes, and a runtime trace does not say. So
+//     Signal and Broadcast are checked and stamped, never applied: a
+//     waiter leaves c when it resumes, which is accepted only if some
+//     Signal or Broadcast on c is stamped after its Enqueue — no wakeup out
+//     of thin air — and then judged by the Resume's own WHEN. That is the
+//     strongest check the weak postcondition permits: one Signal may
+//     release many racing waiters. Applying Broadcast's c' = {} at once
+//     would be wrong too: a thread whose Enqueue precedes a Broadcast may
+//     reach the implementation's queue after it, and a later Signal then
+//     legally removes it. A leaving thread's m = NIL is tested here first,
+//     in the words committed schedule certificates record.
+//   - AlertResume.Raise is judged as the final specification variant, the
+//     one printed, whatever variant the emitter tags.
+//   - Stamp order: Feed requires strictly increasing Seqs.
 //
 // A run that replays cleanly is evidence for experiment E9: the
 // implementation's observable behavior is among those the specification
@@ -33,6 +40,8 @@ package trace
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"threads/internal/spec"
 )
@@ -46,22 +55,20 @@ type Event struct {
 	Action spec.Action
 }
 
-// condState tracks one condition variable during replay.
-type condState struct {
-	// members maps each waiting thread to the Seq of its Enqueue.
-	members map[spec.ThreadID]uint64
-	// lastUnblock is the Seq of the most recent Signal or Broadcast.
-	lastUnblock uint64
+// waiter names thread t in condition c.
+type waiter struct {
+	c spec.CondID
+	t spec.ThreadID
 }
 
 // Checker replays events against the specification. The zero value is not
 // ready; use New.
 type Checker struct {
-	mutexes map[spec.MutexID]spec.ThreadID
-	sems    map[spec.SemID]bool // true = unavailable
-	conds   map[spec.CondID]*condState
-	alerts  map[spec.ThreadID]bool
-	pris    map[spec.ThreadID]int // effective priorities (priority extension)
+	st *spec.State
+	// enq holds the Seq of each waiter's Enqueue, and unblock the Seq of
+	// each condition's most recent Signal or Broadcast.
+	enq     map[waiter]uint64
+	unblock map[spec.CondID]uint64
 	applied int
 	lastSeq uint64
 }
@@ -69,38 +76,16 @@ type Checker struct {
 // New returns a Checker in the initial state (every mutex NIL, every
 // condition {}, every semaphore available, alerts {}).
 func New() *Checker {
-	return &Checker{
-		mutexes: map[spec.MutexID]spec.ThreadID{},
-		sems:    map[spec.SemID]bool{},
-		conds:   map[spec.CondID]*condState{},
-		alerts:  map[spec.ThreadID]bool{},
-		pris:    map[spec.ThreadID]int{},
-	}
+	return &Checker{st: spec.NewState(), enq: map[waiter]uint64{}, unblock: map[spec.CondID]uint64{}}
 }
 
-// Reset returns c to New's initial state, keeping its storage. A
-// condition's record stays, emptied, which Apply cannot tell from an
-// absent one.
+// Reset returns c to New's initial state, keeping its storage.
 func (c *Checker) Reset() {
-	clear(c.mutexes)
-	clear(c.sems)
-	clear(c.alerts)
-	clear(c.pris)
-	for _, cs := range c.conds {
-		clear(cs.members)
-		cs.lastUnblock = 0
-	}
+	c.st.Reset()
+	clear(c.enq)
+	clear(c.unblock)
 	c.applied = 0
 	c.lastSeq = 0
-}
-
-func (c *Checker) cond(id spec.CondID) *condState {
-	cs, ok := c.conds[id]
-	if !ok {
-		cs = &condState{members: map[spec.ThreadID]uint64{}}
-		c.conds[id] = cs
-	}
-	return cs
 }
 
 // Violation describes a specification clause an event broke.
@@ -124,143 +109,91 @@ func (c *Checker) fail(ev Event, clause, format string, args ...any) error {
 	}
 }
 
+// violation reports a clause internal/spec found broken; its errors read
+// "<clause>: <detail>".
+func (c *Checker) violation(ev Event, err error) error {
+	clause, detail, _ := strings.Cut(err.Error(), ": ")
+	return c.fail(ev, clause, "%s", detail)
+}
+
 // Apply replays one event; a non-nil error is a conformance violation.
 func (c *Checker) Apply(ev Event) error {
-	switch a := ev.Action.(type) {
-	case spec.Acquire:
-		if h := c.mutexes[a.M]; h != spec.NIL {
-			return c.fail(ev, "Acquire WHEN m = NIL", "m%d held by t%d at the linearization", a.M, h)
-		}
-		c.mutexes[a.M] = a.T
-
-	case spec.Release:
-		if h := c.mutexes[a.M]; h != a.T {
-			return c.fail(ev, "Release REQUIRES m = SELF", "m%d = t%d, SELF = t%d", a.M, h, a.T)
-		}
-		c.mutexes[a.M] = spec.NIL
-
-	case spec.Enqueue:
-		if h := c.mutexes[a.M]; h != a.T {
-			return c.fail(ev, "Wait REQUIRES m = SELF", "m%d = t%d, SELF = t%d", a.M, h, a.T)
-		}
-		cs := c.cond(a.C)
-		if _, dup := cs.members[a.T]; dup {
-			return c.fail(ev, "Enqueue", "t%d enqueued twice on c%d without resuming", a.T, a.C)
-		}
-		cs.members[a.T] = ev.Seq
-		c.mutexes[a.M] = spec.NIL
-
+	a := ev.Action
+	var err error
+	switch r := a.(type) {
 	case spec.Resume:
-		return c.applyResume(ev, a.T, a.M, a.C, false)
-
+		err = c.leave(ev, r.T, r.M, r.C, true)
 	case spec.AlertResumeReturn:
-		return c.applyResume(ev, a.T, a.M, a.C, false)
-
+		err = c.leave(ev, r.T, r.M, r.C, true)
 	case spec.AlertResumeRaise:
-		return c.applyResume(ev, a.T, a.M, a.C, true)
-
-	case spec.Signal:
-		cs := c.cond(a.C)
-		for _, t := range a.Removed {
-			if _, ok := cs.members[t]; !ok {
-				return c.fail(ev, "Signal ENSURES c' ⊆ c", "removed t%d not in c%d", t, a.C)
-			}
+		err = c.leave(ev, r.T, r.M, r.C, false)
+		if r.Variant != spec.VariantFinal {
+			// Only an emitter of a historical variant (a broken litmus)
+			// pays for boxing the final one.
+			r.Variant = spec.VariantFinal
+			a = r
 		}
-		cs.lastUnblock = ev.Seq
-
-	case spec.Broadcast:
-		c.cond(a.C).lastUnblock = ev.Seq
-
-	case spec.P:
-		if c.sems[a.S] {
-			return c.fail(ev, "P WHEN s = available", "s%d unavailable at the linearization", a.S)
-		}
-		c.sems[a.S] = true
-
-	case spec.V:
-		c.sems[a.S] = false
-
-	case spec.AlertPReturn:
-		if c.sems[a.S] {
-			return c.fail(ev, "AlertP RETURNS WHEN s = available", "s%d unavailable", a.S)
-		}
-		c.sems[a.S] = true
-
-	case spec.AlertPRaise:
-		if !c.alerts[a.T] {
-			return c.fail(ev, "AlertP RAISES WHEN SELF IN alerts", "t%d not alerted", a.T)
-		}
-		delete(c.alerts, a.T)
-		// UNCHANGED [s]: nothing else to do.
-
-	case spec.Alert:
-		c.alerts[a.Target] = true
-
-	case spec.TestAlert:
-		if want := c.alerts[a.T]; a.Result != want {
-			return c.fail(ev, "TestAlert ENSURES b = (SELF IN alerts)",
-				"returned %v, alerts membership %v", a.Result, want)
-		}
-		delete(c.alerts, a.T)
-
-	case spec.PriBoost:
-		// Boost/restore records are emitted under the target thread's
-		// donation lock, so per thread they are totally ordered and each
-		// must start from the value the previous transition left.
-		if cur := c.pris[a.T]; cur != a.Old {
-			return c.fail(ev, "PriBoost REQUIRES old = pris[t]",
-				"pris[t%d] = %d, record claims old = %d", a.T, cur, a.Old)
-		}
-		if a.New <= a.Old {
-			return c.fail(ev, "PriBoost REQUIRES new > old", "old = %d, new = %d", a.Old, a.New)
-		}
-		c.pris[a.T] = a.New
-
-	case spec.PriRestore:
-		if cur := c.pris[a.T]; cur != a.Old {
-			return c.fail(ev, "PriRestore REQUIRES old = pris[t]",
-				"pris[t%d] = %d, record claims old = %d", a.T, cur, a.Old)
-		}
-		if a.New >= a.Old {
-			return c.fail(ev, "PriRestore REQUIRES new < old", "old = %d, new = %d", a.Old, a.New)
-		}
-		if a.New == 0 {
-			delete(c.pris, a.T)
-		} else {
-			c.pris[a.T] = a.New
-		}
-
-	default:
-		return c.fail(ev, "unknown action", "unhandled action type %T", ev.Action)
 	}
+	if err != nil {
+		return err
+	}
+	if err := a.Requires(c.st); err != nil {
+		return c.violation(ev, err)
+	}
+	if !a.When(c.st) {
+		return c.fail(ev, a.Kind()+" WHEN", "not enabled at the linearization; state %v", c.st)
+	}
+	switch r := a.(type) {
+	case spec.Enqueue:
+		w := waiter{r.C, r.T}
+		if _, dup := c.enq[w]; dup {
+			return c.fail(ev, "Enqueue", "t%d enqueued twice on c%d without resuming", r.T, r.C)
+		}
+		c.enq[w] = ev.Seq
+	case spec.Signal: // checked and stamped, never applied
+		if err := r.CheckEnsures(c.st); err != nil {
+			return c.violation(ev, err)
+		}
+		c.unblock[r.C] = ev.Seq
+		c.applied++
+		return nil
+	case spec.Broadcast:
+		c.unblock[r.C] = ev.Seq
+		c.applied++
+		return nil
+	case spec.TestAlert:
+		if err := r.CheckEnsures(c.st); err != nil {
+			return c.violation(ev, err)
+		}
+	}
+	a.Apply(c.st)
 	c.applied++
 	return nil
 }
 
-func (c *Checker) applyResume(ev Event, t spec.ThreadID, m spec.MutexID, cid spec.CondID, raise bool) error {
-	if h := c.mutexes[m]; h != spec.NIL {
+// leave applies the replay's own rules to thread t's departure from
+// condition cid, before the specification judges it: m = NIL, a matching
+// Enqueue and, unless t raises Alerted, an unblock stamped after that
+// Enqueue. A thread that returns is then taken out of c, resolving the
+// Signal or Broadcast that released it.
+func (c *Checker) leave(ev Event, t spec.ThreadID, m spec.MutexID, cid spec.CondID, returns bool) error {
+	if h := c.st.Mutex(m); h != spec.NIL {
 		return c.fail(ev, "Resume WHEN m = NIL", "m%d held by t%d at the linearization", m, h)
 	}
-	cs := c.cond(cid)
-	enq, ok := cs.members[t]
+	w := waiter{cid, t}
+	enq, ok := c.enq[w]
 	if !ok {
 		return c.fail(ev, "Resume", "t%d resumed from c%d without a matching Enqueue", t, cid)
 	}
-	if raise {
-		if !c.alerts[t] {
-			return c.fail(ev, "AlertResume RAISES WHEN SELF IN alerts", "t%d not alerted", t)
-		}
-		delete(c.alerts, t) // alerts' = delete(alerts, SELF)
-	} else {
-		if cs.lastUnblock <= enq {
-			return c.fail(ev, "Resume WHEN NOT (SELF IN c)",
-				"t%d resumed with no Signal/Broadcast on c%d after its Enqueue (enqueued at %d, last unblock at %d): a wakeup out of thin air",
-				t, cid, enq, cs.lastUnblock)
-		}
+	if returns && c.unblock[cid] <= enq {
+		return c.fail(ev, "Resume WHEN NOT (SELF IN c)",
+			"t%d resumed with no Signal/Broadcast on c%d after its Enqueue (enqueued at %d, last unblock at %d): a wakeup out of thin air",
+			t, cid, enq, c.unblock[cid])
 	}
-	delete(cs.members, t) // departure from c (for raise: c' = delete(c, SELF))
-	c.mutexes[m] = t
-	c.applied++
+	delete(c.enq, w)
+	if returns {
+		c.st.Conds[cid].Delete(t)
+	}
 	return nil
 }
 
@@ -274,12 +207,7 @@ func (c *Checker) applyResume(ev Event, t spec.ThreadID, m spec.MutexID, cid spe
 func (c *Checker) Feed(events []Event) error {
 	for _, ev := range events {
 		if ev.Seq <= c.lastSeq {
-			return &Violation{
-				Seq:    ev.Seq,
-				Action: ev.Action.String(),
-				Clause: "trace well-formedness",
-				Detail: fmt.Sprintf("seq %d not greater than previously fed seq %d", ev.Seq, c.lastSeq),
-			}
+			return c.fail(ev, "trace well-formedness", "seq %d not greater than previously fed seq %d", ev.Seq, c.lastSeq)
 		}
 		c.lastSeq = ev.Seq
 		if err := c.Apply(ev); err != nil {
@@ -289,9 +217,18 @@ func (c *Checker) Feed(events []Event) error {
 	return nil
 }
 
+// checkers recycles the package CheckAll's checkers: a replay's state is
+// several maps, which a caller replaying many short traces would otherwise
+// allocate for every one.
+var checkers = sync.Pool{New: func() any { return New() }}
+
 // CheckAll replays a whole trace, returning the count of events accepted
 // and the first violation, if any.
-func CheckAll(events []Event) (int, error) { return New().CheckAll(events) }
+func CheckAll(events []Event) (int, error) {
+	c := checkers.Get().(*Checker)
+	defer checkers.Put(c)
+	return c.CheckAll(events)
+}
 
 // CheckAll is the package's CheckAll on c's storage: it resets c, then
 // replays the whole trace.

@@ -35,7 +35,7 @@ func TestDetectsDoubleAcquire(t *testing.T) {
 		spec.Acquire{T: 1, M: 1},
 		spec.Acquire{T: 2, M: 1},
 	))
-	if err == nil || !strings.Contains(err.Error(), "WHEN m = NIL") {
+	if err == nil || !strings.Contains(err.Error(), "Acquire WHEN") {
 		t.Fatalf("double acquire not detected: %v", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestSemaphoreTrace(t *testing.T) {
 		spec.P{T: 1, S: 1},
 		spec.P{T: 2, S: 1},
 	))
-	if err == nil || !strings.Contains(err.Error(), "WHEN s = available") {
+	if err == nil || !strings.Contains(err.Error(), "P WHEN") {
 		t.Fatalf("double P not detected: %v", err)
 	}
 }
@@ -220,7 +220,7 @@ func TestAlertWaitRaiseTrace(t *testing.T) {
 		spec.Enqueue{T: 1, M: 1, C: 1},
 		spec.AlertResumeRaise{T: 1, M: 1, C: 1},
 	))
-	if err == nil || !strings.Contains(err.Error(), "RAISES WHEN SELF IN alerts") {
+	if err == nil || !strings.Contains(err.Error(), "AlertResume.Raise WHEN") {
 		t.Fatalf("raise without alert not detected: %v", err)
 	}
 }
