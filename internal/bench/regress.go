@@ -203,8 +203,11 @@ func CollectRegressionMetrics(quick bool) (Baseline, error) {
 	// no cache, so the run is exactly deterministic). The prune fraction
 	// is a pure function of the decision tree and the independence
 	// relation — stable across machines; throughput is wall-clock and
-	// enforced only with -timed. Allocations per schedule are stable too:
-	// they catch a return of per-step allocation in the simulator kernel.
+	// enforced only with -timed. Allocations per schedule are stable too,
+	// and catch any allocation a run makes: a run on a reused runner
+	// allocates nothing, so they are the exploration's set-up (its runner,
+	// the first run's objects and each bound's engine) spread over its
+	// schedules.
 	mlit := checker.LitmusByName("mutex")
 	var expBefore, expAfter runtime.MemStats
 	runtime.ReadMemStats(&expBefore)

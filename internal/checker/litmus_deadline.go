@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"threads/internal/sim"
-	"threads/internal/simthreads"
 )
 
 // simDeadline is the deadline/completion race in virtual time: an owner
@@ -22,20 +21,20 @@ import (
 func simDeadline(broken bool) SimProgram {
 	return SimProgram{
 		Procs: 3,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			c := w.NewCondition()
-			dt := w.NewDeadlineTimer()
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			c := b.cond()
+			dt := b.timer()
 			// stage advances 0→1→2 as the signaler ends each of the
 			// owner's waits; the detectors record outcomes.
-			var stage, wait1Alerted, fired, poisoned sim.Word
-			owner := k.Spawn("owner", func(e *sim.Env) {
+			stage, wait1Alerted, fired, poisoned := b.word(), b.word(), b.word(), b.word()
+			owner := b.spawn("owner", func(e *sim.Env) {
 				m.Acquire(e)
 				// First wait, with a deadline: ended by the signaler
 				// (stage 1) or by the timer's alert.
-				for e.Load(&stage) == 0 {
+				for e.Load(stage) == 0 {
 					if c.AlertWait(e, m) {
-						e.Store(&wait1Alerted, 1)
+						e.Store(wait1Alerted, 1)
 						break
 					}
 				}
@@ -45,29 +44,29 @@ func simDeadline(broken bool) SimProgram {
 					// the bug.
 					dt.CancelBroken(e)
 				} else if dt.CancelAndDrain(e) {
-					e.Store(&fired, 1)
+					e.Store(fired, 1)
 				}
 				// Second wait, no deadline: only the signaler may end it.
 				// An Alerted return here is the stale alert leaking in.
-				for e.Load(&stage) < 2 {
+				for e.Load(stage) < 2 {
 					if c.AlertWait(e, m) {
-						e.Store(&poisoned, 1)
+						e.Store(poisoned, 1)
 						break
 					}
 				}
 				m.Release(e)
 			})
-			k.Spawn("signaler", func(e *sim.Env) {
+			b.spawn("signaler", func(e *sim.Env) {
 				m.Acquire(e)
-				e.Store(&stage, 1)
+				e.Store(stage, 1)
 				m.Release(e)
 				c.Broadcast(e)
 				m.Acquire(e)
-				e.Store(&stage, 2)
+				e.Store(stage, 2)
 				m.Release(e)
 				c.Broadcast(e)
 			})
-			k.Spawn("timer", func(e *sim.Env) {
+			b.spawn("timer", func(e *sim.Env) {
 				dt.Fire(e, owner)
 			})
 			return func() error {
@@ -79,6 +78,6 @@ func simDeadline(broken bool) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"threads/internal/sim"
-	"threads/internal/simthreads"
 )
 
 // The builders in this file are the sim faces of the derived/ toolkit:
@@ -20,22 +19,22 @@ import (
 func simMonitor(producers, iters int) SimProgram {
 	return SimProgram{
 		Procs: producers + 1,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			nonZero := w.NewCondition()
-			var count, inCS, overlap, drained sim.Word
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			nonZero := b.cond()
+			count, inCS, overlap, drained := b.word(), b.word(), b.word(), b.word()
 			enter := func(e *sim.Env) {
-				if e.Add(&inCS, 1) != 1 {
-					e.Store(&overlap, 1)
+				if e.Add(inCS, 1) != 1 {
+					e.Store(overlap, 1)
 				}
 			}
-			exit := func(e *sim.Env) { e.Add(&inCS, ^uint64(0)) }
+			exit := func(e *sim.Env) { e.Add(inCS, ^uint64(0)) }
 			for i := 0; i < producers; i++ {
-				k.Spawn(fmt.Sprintf("prod%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("prod%d", i+1), func(e *sim.Env) {
 					for n := 0; n < iters; n++ {
 						m.Acquire(e)
 						enter(e)
-						e.Add(&count, 1)
+						e.Add(count, 1)
 						exit(e)
 						m.Release(e)
 						nonZero.Signal(e)
@@ -43,20 +42,20 @@ func simMonitor(producers, iters int) SimProgram {
 				})
 			}
 			total := uint64(producers * iters)
-			k.Spawn("drainer", func(e *sim.Env) {
+			b.spawn("drainer", func(e *sim.Env) {
 				taken := uint64(0)
 				m.Acquire(e)
 				for taken < total {
-					for e.Load(&count) == 0 {
+					for e.Load(count) == 0 {
 						nonZero.Wait(e, m)
 					}
 					enter(e)
-					taken += e.Load(&count)
-					e.Store(&count, 0)
+					taken += e.Load(count)
+					e.Store(count, 0)
 					exit(e)
 				}
 				m.Release(e)
-				e.Store(&drained, taken)
+				e.Store(drained, taken)
 			})
 			return func() error {
 				if overlap.Peek() != 0 {
@@ -67,7 +66,7 @@ func simMonitor(producers, iters int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -79,48 +78,48 @@ func simMonitor(producers, iters int) SimProgram {
 func simMPSC(producers, items, capacity int) SimProgram {
 	return SimProgram{
 		Procs: producers + 1,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			nonEmpty := w.NewCondition()
-			nonFull := w.NewCondition()
-			buf := make([]sim.Word, capacity)
-			var head, n sim.Word // ring state, guarded by m
-			var sum, fifoBad sim.Word
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			nonEmpty := b.cond()
+			nonFull := b.cond()
+			buf := b.wordSlice(capacity)
+			head, n := b.word(), b.word() // ring state, guarded by m
+			sum, fifoBad := b.word(), b.word()
 			for i := 0; i < producers; i++ {
 				base := uint64((i + 1) * 100)
-				k.Spawn(fmt.Sprintf("prod%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("prod%d", i+1), func(e *sim.Env) {
 					for v := uint64(0); v < uint64(items); v++ {
 						m.Acquire(e)
-						for e.Load(&n) == uint64(capacity) {
+						for e.Load(n) == uint64(capacity) {
 							nonFull.Wait(e, m)
 						}
-						slot := (e.Load(&head) + e.Load(&n)) % uint64(capacity)
+						slot := (e.Load(head) + e.Load(n)) % uint64(capacity)
 						e.Store(&buf[slot], base+v)
-						e.Add(&n, 1)
+						e.Add(n, 1)
 						m.Release(e)
 						nonEmpty.Signal(e)
 					}
 				})
 			}
-			lastSeen := make([]sim.Word, producers)
-			k.Spawn("cons", func(e *sim.Env) {
+			lastSeen := b.wordSlice(producers)
+			b.spawn("cons", func(e *sim.Env) {
 				for got := 0; got < producers*items; got++ {
 					m.Acquire(e)
-					for e.Load(&n) == 0 {
+					for e.Load(n) == 0 {
 						nonEmpty.Wait(e, m)
 					}
-					h := e.Load(&head)
+					h := e.Load(head)
 					v := e.Load(&buf[h])
 					e.Store(&buf[h], 0)
-					e.Store(&head, (h+1)%uint64(capacity))
-					e.Add(&n, ^uint64(0))
+					e.Store(head, (h+1)%uint64(capacity))
+					e.Add(n, ^uint64(0))
 					m.Release(e)
 					nonFull.Signal(e)
-					e.Add(&sum, v)
+					e.Add(sum, v)
 					who := int(v/100) - 1
 					seq := v%100 + 1 // 1-based so "nothing seen" is 0
 					if seq <= e.Load(&lastSeen[who]) {
-						e.Store(&fifoBad, 1)
+						e.Store(fifoBad, 1)
 					}
 					e.Store(&lastSeen[who], seq)
 				}
@@ -143,7 +142,7 @@ func simMPSC(producers, items, capacity int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -156,46 +155,46 @@ func simMPSC(producers, items, capacity int) SimProgram {
 func simFuture() SimProgram {
 	return SimProgram{
 		Procs: 3,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			set := w.NewCondition()
-			dt := w.NewDeadlineTimer()
-			var done, value sim.Word // future state, guarded by m
-			var got1, got2, bad sim.Word
-			deadlineGetter := k.Spawn("getterD", func(e *sim.Env) {
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			set := b.cond()
+			dt := b.timer()
+			done, value := b.word(), b.word() // future state, guarded by m
+			got1, got2, bad := b.word(), b.word(), b.word()
+			deadlineGetter := b.spawn("getterD", func(e *sim.Env) {
 				m.Acquire(e)
 				alerted := false
-				for e.Load(&done) == 0 {
+				for e.Load(done) == 0 {
 					if set.AlertWait(e, m) {
 						alerted = true
 						break
 					}
 				}
 				if !alerted {
-					if v := e.Load(&value); v != 7 {
-						e.Store(&bad, 1)
+					if v := e.Load(value); v != 7 {
+						e.Store(bad, 1)
 					}
-					e.Store(&got1, 1)
+					e.Store(got1, 1)
 				}
 				m.Release(e)
 				dt.CancelAndDrain(e)
 			})
-			k.Spawn("getter", func(e *sim.Env) {
+			b.spawn("getter", func(e *sim.Env) {
 				m.Acquire(e)
-				for e.Load(&done) == 0 {
+				for e.Load(done) == 0 {
 					set.Wait(e, m)
 				}
-				if v := e.Load(&value); v != 7 {
-					e.Store(&bad, 1)
+				if v := e.Load(value); v != 7 {
+					e.Store(bad, 1)
 				}
 				m.Release(e)
-				e.Store(&got2, 1)
+				e.Store(got2, 1)
 			})
-			k.Spawn("setter", func(e *sim.Env) {
+			b.spawn("setter", func(e *sim.Env) {
 				dt.Fire(e, deadlineGetter)
 				m.Acquire(e)
-				e.Store(&value, 7)
-				e.Store(&done, 1)
+				e.Store(value, 7)
+				e.Store(done, 1)
 				m.Release(e)
 				set.Broadcast(e)
 			})
@@ -208,7 +207,7 @@ func simFuture() SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -218,26 +217,26 @@ func simFuture() SimProgram {
 func simLatch(waiters int) SimProgram {
 	return SimProgram{
 		Procs: waiters + 1,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			opened := w.NewCondition()
-			var open, passedEarly, passed sim.Word
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			opened := b.cond()
+			open, passedEarly, passed := b.word(), b.word(), b.word()
 			for i := 0; i < waiters; i++ {
-				k.Spawn(fmt.Sprintf("w%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("w%d", i+1), func(e *sim.Env) {
 					m.Acquire(e)
-					for e.Load(&open) == 0 {
+					for e.Load(open) == 0 {
 						opened.Wait(e, m)
 					}
 					m.Release(e)
-					if e.Load(&open) == 0 {
-						e.Store(&passedEarly, 1)
+					if e.Load(open) == 0 {
+						e.Store(passedEarly, 1)
 					}
-					e.Add(&passed, 1)
+					e.Add(passed, 1)
 				})
 			}
-			k.Spawn("opener", func(e *sim.Env) {
+			b.spawn("opener", func(e *sim.Env) {
 				m.Acquire(e)
-				e.Store(&open, 1)
+				e.Store(open, 1)
 				m.Release(e)
 				opened.Broadcast(e)
 			})
@@ -250,7 +249,7 @@ func simLatch(waiters int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -265,29 +264,29 @@ func simLatch(waiters int) SimProgram {
 func simCSem(permits, threads int) SimProgram {
 	return SimProgram{
 		Procs: threads,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			nonZero := w.NewCondition()
-			var free sim.Word // the permit count, guarded by m
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			nonZero := b.cond()
+			free := b.word() // the permit count, guarded by m
 			free.Poke(uint64(permits))
-			var held, overlap sim.Word // detectors
+			held, overlap := b.word(), b.word() // detectors
 			for i := 0; i < threads; i++ {
-				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
 					// Acquire.
 					m.Acquire(e)
-					for e.Load(&free) == 0 {
+					for e.Load(free) == 0 {
 						nonZero.Wait(e, m)
 					}
-					e.Add(&free, ^uint64(0))
+					e.Add(free, ^uint64(0))
 					m.Release(e)
-					if e.Add(&held, 1) > uint64(permits) {
-						e.Store(&overlap, 1)
+					if e.Add(held, 1) > uint64(permits) {
+						e.Store(overlap, 1)
 					}
 					e.Work(1)
-					e.Add(&held, ^uint64(0))
+					e.Add(held, ^uint64(0))
 					// Release.
 					m.Acquire(e)
-					e.Add(&free, 1)
+					e.Add(free, 1)
 					m.Release(e)
 					nonZero.Signal(e)
 				})
@@ -301,7 +300,7 @@ func simCSem(permits, threads int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -316,42 +315,43 @@ func simCSem(permits, threads int) SimProgram {
 func simPool(items, threads int) SimProgram {
 	return SimProgram{
 		Procs: threads,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			freed := w.NewCondition()
-			stack := make([]sim.Word, items) // item IDs 1..items, guarded by m
-			var n sim.Word                   // the stack's length, guarded by m
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			freed := b.cond()
+			stack := b.wordSlice(items) // item IDs 1..items, guarded by m
+			n := b.word()               // the stack's length, guarded by m
 			for i := range stack {
 				stack[i].Poke(uint64(i + 1))
 			}
 			n.Poke(uint64(items))
-			holders := make([]sim.Word, items+1) // detectors, by item ID
-			var shared sim.Word
+			holders := b.wordSlice(items + 1) // detectors, by item ID
+			shared := b.word()
 			for i := 0; i < threads; i++ {
-				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
 					// Get.
 					m.Acquire(e)
-					for e.Load(&n) == 0 {
+					for e.Load(n) == 0 {
 						freed.Wait(e, m)
 					}
-					top := e.Load(&n) - 1
+					top := e.Load(n) - 1
 					item := e.Load(&stack[top])
-					e.Store(&n, top)
+					e.Store(n, top)
 					m.Release(e)
 					if e.Add(&holders[item], 1) != 1 {
-						e.Store(&shared, 1)
+						e.Store(shared, 1)
 					}
 					e.Work(1)
 					e.Add(&holders[item], ^uint64(0))
 					// Put.
 					m.Acquire(e)
-					top = e.Load(&n)
+					top = e.Load(n)
 					e.Store(&stack[top], item)
-					e.Store(&n, top+1)
+					e.Store(n, top+1)
 					m.Release(e)
 					freed.Signal(e)
 				})
 			}
+			onStack := make([]bool, items+1) // the check's, by item ID
 			return func() error {
 				if shared.Peek() != 0 {
 					return fmt.Errorf("an item was held by two threads at once")
@@ -359,7 +359,7 @@ func simPool(items, threads int) SimProgram {
 				if got := n.Peek(); got != uint64(items) {
 					return fmt.Errorf("%d items on the stack at quiescence, want %d", got, items)
 				}
-				onStack := make([]bool, items+1)
+				clear(onStack)
 				for i := range stack {
 					id := stack[i].Peek()
 					if id == 0 || id > uint64(items) || onStack[id] {
@@ -369,6 +369,6 @@ func simPool(items, threads int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }

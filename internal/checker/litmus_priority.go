@@ -39,36 +39,36 @@ func simPriorityInversion(pi bool) SimProgram {
 		Procs:   1,
 		Quantum: 6,
 		Opts:    simthreads.WorldOptions{PriorityInheritance: pi},
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
 			// Start gates are raw words watched via AwaitChange (the
 			// simPeterson idiom): a simthreads Semaphore is INITIALLY
 			// available, so P would not gate anything.
-			var startHigh, startMed, highDone, starved sim.Word
-			k.SpawnPri("low", 1, func(e *sim.Env) {
+			startHigh, startMed, highDone, starved := b.word(), b.word(), b.word(), b.word()
+			b.spawnPri("low", 1, func(e *sim.Env) {
 				m.Acquire(e)
-				e.Store(&startHigh, 1)
+				e.Store(startHigh, 1)
 				e.Work(8) // long critical section; the quantum expires here
 				m.Release(e)
 			})
-			k.SpawnPri("high", 3, func(e *sim.Env) {
-				e.AwaitChange(sim.WordVal{W: &startHigh, Old: 0})
-				e.Store(&startMed, 1)
+			b.spawnPri("high", 3, func(e *sim.Env) {
+				e.AwaitChange(sim.WordVal{W: startHigh, Old: 0})
+				e.Store(startMed, 1)
 				m.Acquire(e)
-				e.Store(&highDone, 1)
+				e.Store(highDone, 1)
 				m.Release(e)
 			})
-			k.SpawnPri("med", 2, func(e *sim.Env) {
-				e.AwaitChange(sim.WordVal{W: &startMed, Old: 0})
+			b.spawnPri("med", 2, func(e *sim.Env) {
+				e.AwaitChange(sim.WordVal{W: startMed, Old: 0})
 				// CPU-bound medium-priority work, bounded so every schedule
 				// terminates: give up after `budget` spins and report
 				// whether high ever got through.
 				const budget = 40
-				for spun := 0; e.Load(&highDone) == 0 && spun < budget; spun++ {
+				for spun := 0; e.Load(highDone) == 0 && spun < budget; spun++ {
 					e.Work(1)
 				}
-				if e.Load(&highDone) == 0 {
-					e.Store(&starved, 1)
+				if e.Load(highDone) == 0 {
+					e.Store(starved, 1)
 				}
 			})
 			return func() error {
@@ -80,6 +80,6 @@ func simPriorityInversion(pi bool) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }

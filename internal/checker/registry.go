@@ -47,6 +47,18 @@ type SimProgram struct {
 	// must have a unique name — schedule certificates refer to threads by
 	// name) and returns a check run after the kernel stops: nil means the
 	// outcome is correct. Check functions use Peek only.
+	//
+	// The explorer calls Build before every schedule, on one world that
+	// it resets in place (simthreads.World.Reset). For its runs to
+	// allocate nothing, a Build that runs again on a world it has already
+	// built on allocates nothing: its first call keeps what it makes —
+	// words, thread bodies, names and check — in the world's program slot
+	// (simthreads.World.Program), and later calls take the world's
+	// objects again in the same order, poke the words back to their
+	// initial values and spawn the same bodies. The registry's programs
+	// do so through reusable, and the explorer's
+	// TestReusedRunAllocationFree holds them to it. A Build called on a
+	// new world, as perfbench's verify set-up does, makes everything.
 	Build func(w *simthreads.World, k *simthreads.Kernel) (check func() error)
 }
 
@@ -63,126 +75,170 @@ type Litmus struct {
 	Sim  SimProgram
 }
 
+// entry is one row of the registry: a litmus's name and the function
+// that makes the litmus. Making a litmus makes its programs, so
+// LitmusByName makes only the row it returns.
+type entry struct {
+	name string
+	make func() *Litmus
+}
+
 // Registry returns the litmus table, in deterministic order.
 func Registry() []*Litmus {
-	return []*Litmus{
-		{
-			Name: "mutex",
-			Desc: "3 threads x 2 critical sections on one mutex; lost-update and overlap detectors",
-			Spec: func() Config { return MutualExclusion(3, 2) },
-			Sim:  simMutex(3, 2),
-		},
-		{
-			Name: "sem",
-			Desc: "2 threads x 2 critical sections guarded by P/V on one binary semaphore",
-			Spec: func() Config { return SemaphoreMutualExclusion(2, 2) },
-			Sim:  simSemMutex(2, 2),
-		},
-		{
-			Name: "prodcons",
-			Desc: "2 producers x 2 items, 1 consumer, capacity-1 bounded buffer (Wait/Signal both directions)",
-			Sim:  simProdCons(2, 2, 1),
-		},
-		{
-			Name: "alert",
-			Desc: "AlertWait ended by Alert while a worker contends for the mutex (corrected semantics)",
-			Spec: func() Config { return AlertSeizesHeldMutex(spec.VariantFinal) },
-			Sim:  simAlert(false),
-		},
-		{
-			Name:            "alert-broken",
-			Desc:            "the no-m-nil AlertWait bug: an alerted thread seizes a held mutex (violation expected)",
-			ExpectViolation: true,
-			Spec:            func() Config { return MutualExclusionAlert(spec.VariantNoMNil, 2, 1) },
-			Sim:             simAlert(true),
-		},
-		{
-			Name: "rwlock",
-			Desc: "readers-writer lock: atomic reader fast path, mutex+condition only when a writer is counted; 2 readers, 1 writer",
-			Sim:  simRWLock(2),
-		},
-		{
-			// The spec face of the hand-off litmuses is the unmodified
-			// mutex/semaphore spec — hand-off is an implementation policy,
-			// and re-exploring an identical spec would prove nothing new —
-			// so Spec is nil and all the checking weight is on the sim face:
-			// every schedule's linearization trace must still replay through
-			// the specification state machine with transfers in the mix.
-			Name: "mutex-handoff",
-			Desc: "the mutex litmus with direct hand-off: Release transfers the gate, lock bit never clears",
-			Sim:  directHandoff(simMutex(3, 2)),
-		},
-		{
-			Name: "sem-handoff",
-			Desc: "the sem litmus with direct hand-off: V gifts its token to a queued P",
-			Sim:  directHandoff(simSemMutex(2, 2)),
-		},
-		{
-			Name: "csem",
-			Desc: "counting semaphore from mutex+condition: 3 threads share 1 permit, Acquire waits while none is free, Release Signals after the mutex",
-			Sim:  simCSem(1, 3),
-		},
-		{
-			Name: "peterson",
-			Desc: "Peterson's 2-thread mutual exclusion over raw shared words, entry spin via AwaitChange",
-			Sim:  simPeterson(2),
-		},
-		{
-			Name: "phaser",
-			Desc: "cyclic barrier from mutex+condition: 3 threads x 2 phases, Broadcast on the last arrival",
-			Sim:  simPhaser(3, 2),
-		},
-		{
-			Name: "deadline",
-			Desc: "deadline wait via timer-thread Alert (virtual time): cancel-and-drain epilogue; a late fire must not poison the next wait",
-			Sim:  simDeadline(false),
-		},
-		{
-			Name:            "deadline-broken",
-			Desc:            "the stale-alert timeout race: cancel without drain (the timer.Stop pattern) lets a late fire poison the next wait (violation expected)",
-			ExpectViolation: true,
-			Sim:             simDeadline(true),
-		},
-		{
-			Name: "monitor",
-			Desc: "monitor (mutex + bound condition): 2 producers x 1 increment, drainer on count>0; overlap and conservation detectors",
-			Sim:  simMonitor(2, 1),
-		},
-		{
-			Name: "mpsc",
-			Desc: "bounded MPSC ring, capacity 1: 2 producers x 2 items, 1 consumer; conservation and per-producer FIFO detectors",
-			Sim:  simMPSC(2, 2, 1),
-		},
-		{
-			Name: "future",
-			Desc: "single-assignment future: a deadline-carrying getter and a plain getter race one Set (timer via DeadlineTimer)",
-			Sim:  simFuture(),
-		},
-		{
-			Name: "latch",
-			Desc: "one-shot latch: 2 waiters must not pass before the opener's Broadcast",
-			Sim:  simLatch(2),
-		},
-		{
-			Name: "pool",
-			Desc: "buffer pool, 1 item: 3 threads Get it and Put it back; Get waits while the stack is empty, Put Signals after the mutex",
-			Sim:  simPool(1, 3),
-		},
-		{
-			// Like the hand-off litmuses, priority scheduling is an
-			// implementation policy with no spec face: the checking weight is
-			// on conformance replay (boost/restore stamps) and the outcome
-			// detectors.
-			Name: "priority-inversion",
-			Desc: "low/med/high on one processor with time slicing: inheritance boosts the lock holder past the medium-priority spinner",
-			Sim:  simPriorityInversion(true),
-		},
-		{
-			Name:            "priority-inversion-broken",
-			Desc:            "the same program without priority inheritance: the medium spinner starves the lock holder and the high-priority thread behind it (violation expected)",
-			ExpectViolation: true,
-			Sim:             simPriorityInversion(false),
-		},
+	es := entries()
+	out := make([]*Litmus, len(es))
+	for i, e := range es {
+		out[i] = e.litmus()
+	}
+	return out
+}
+
+func (e entry) litmus() *Litmus {
+	l := e.make()
+	l.Name = e.name
+	return l
+}
+
+// entries returns the registry's rows, in order.
+func entries() []entry {
+	return []entry{
+		{"mutex", func() *Litmus {
+			return &Litmus{
+				Desc: "3 threads x 2 critical sections on one mutex; lost-update and overlap detectors",
+				Spec: func() Config { return MutualExclusion(3, 2) },
+				Sim:  simMutex(3, 2),
+			}
+		}},
+		{"sem", func() *Litmus {
+			return &Litmus{
+				Desc: "2 threads x 2 critical sections guarded by P/V on one binary semaphore",
+				Spec: func() Config { return SemaphoreMutualExclusion(2, 2) },
+				Sim:  simSemMutex(2, 2),
+			}
+		}},
+		{"prodcons", func() *Litmus {
+			return &Litmus{
+				Desc: "2 producers x 2 items, 1 consumer, capacity-1 bounded buffer (Wait/Signal both directions)",
+				Sim:  simProdCons(2, 2, 1),
+			}
+		}},
+		{"alert", func() *Litmus {
+			return &Litmus{
+				Desc: "AlertWait ended by Alert while a worker contends for the mutex (corrected semantics)",
+				Spec: func() Config { return AlertSeizesHeldMutex(spec.VariantFinal) },
+				Sim:  simAlert(false),
+			}
+		}},
+		{"alert-broken", func() *Litmus {
+			return &Litmus{
+				Desc:            "the no-m-nil AlertWait bug: an alerted thread seizes a held mutex (violation expected)",
+				ExpectViolation: true,
+				Spec:            func() Config { return MutualExclusionAlert(spec.VariantNoMNil, 2, 1) },
+				Sim:             simAlert(true),
+			}
+		}},
+		{"rwlock", func() *Litmus {
+			return &Litmus{
+				Desc: "readers-writer lock: atomic reader fast path, mutex+condition only when a writer is counted; 2 readers, 1 writer",
+				Sim:  simRWLock(2),
+			}
+		}},
+		// The spec face of the hand-off litmuses is the unmodified
+		// mutex/semaphore spec — hand-off is an implementation policy,
+		// and re-exploring an identical spec would prove nothing new —
+		// so Spec is nil and all the checking weight is on the sim face:
+		// every schedule's linearization trace must still replay through
+		// the specification state machine with transfers in the mix.
+		{"mutex-handoff", func() *Litmus {
+			return &Litmus{
+				Desc: "the mutex litmus with direct hand-off: Release transfers the gate, lock bit never clears",
+				Sim:  directHandoff(simMutex(3, 2)),
+			}
+		}},
+		{"sem-handoff", func() *Litmus {
+			return &Litmus{
+				Desc: "the sem litmus with direct hand-off: V gifts its token to a queued P",
+				Sim:  directHandoff(simSemMutex(2, 2)),
+			}
+		}},
+		{"csem", func() *Litmus {
+			return &Litmus{
+				Desc: "counting semaphore from mutex+condition: 3 threads share 1 permit, Acquire waits while none is free, Release Signals after the mutex",
+				Sim:  simCSem(1, 3),
+			}
+		}},
+		{"peterson", func() *Litmus {
+			return &Litmus{
+				Desc: "Peterson's 2-thread mutual exclusion over raw shared words, entry spin via AwaitChange",
+				Sim:  simPeterson(2),
+			}
+		}},
+		{"phaser", func() *Litmus {
+			return &Litmus{
+				Desc: "cyclic barrier from mutex+condition: 3 threads x 2 phases, Broadcast on the last arrival",
+				Sim:  simPhaser(3, 2),
+			}
+		}},
+		{"deadline", func() *Litmus {
+			return &Litmus{
+				Desc: "deadline wait via timer-thread Alert (virtual time): cancel-and-drain epilogue; a late fire must not poison the next wait",
+				Sim:  simDeadline(false),
+			}
+		}},
+		{"deadline-broken", func() *Litmus {
+			return &Litmus{
+				Desc:            "the stale-alert timeout race: cancel without drain (the timer.Stop pattern) lets a late fire poison the next wait (violation expected)",
+				ExpectViolation: true,
+				Sim:             simDeadline(true),
+			}
+		}},
+		{"monitor", func() *Litmus {
+			return &Litmus{
+				Desc: "monitor (mutex + bound condition): 2 producers x 1 increment, drainer on count>0; overlap and conservation detectors",
+				Sim:  simMonitor(2, 1),
+			}
+		}},
+		{"mpsc", func() *Litmus {
+			return &Litmus{
+				Desc: "bounded MPSC ring, capacity 1: 2 producers x 2 items, 1 consumer; conservation and per-producer FIFO detectors",
+				Sim:  simMPSC(2, 2, 1),
+			}
+		}},
+		{"future", func() *Litmus {
+			return &Litmus{
+				Desc: "single-assignment future: a deadline-carrying getter and a plain getter race one Set (timer via DeadlineTimer)",
+				Sim:  simFuture(),
+			}
+		}},
+		{"latch", func() *Litmus {
+			return &Litmus{
+				Desc: "one-shot latch: 2 waiters must not pass before the opener's Broadcast",
+				Sim:  simLatch(2),
+			}
+		}},
+		{"pool", func() *Litmus {
+			return &Litmus{
+				Desc: "buffer pool, 1 item: 3 threads Get it and Put it back; Get waits while the stack is empty, Put Signals after the mutex",
+				Sim:  simPool(1, 3),
+			}
+		}},
+		// Like the hand-off litmuses, priority scheduling is an
+		// implementation policy with no spec face: the checking weight is
+		// on conformance replay (boost/restore stamps) and the outcome
+		// detectors.
+		{"priority-inversion", func() *Litmus {
+			return &Litmus{
+				Desc: "low/med/high on one processor with time slicing: inheritance boosts the lock holder past the medium-priority spinner",
+				Sim:  simPriorityInversion(true),
+			}
+		}},
+		{"priority-inversion-broken", func() *Litmus {
+			return &Litmus{
+				Desc:            "the same program without priority inheritance: the medium spinner starves the lock holder and the high-priority thread behind it (violation expected)",
+				ExpectViolation: true,
+				Sim:             simPriorityInversion(false),
+			}
+		}},
 	}
 }
 
@@ -194,9 +250,9 @@ func directHandoff(p SimProgram) SimProgram {
 
 // LitmusByName returns the named litmus, or nil.
 func LitmusByName(name string) *Litmus {
-	for _, l := range Registry() {
-		if l.Name == name {
-			return l
+	for _, e := range entries() {
+		if e.name == name {
+			return e.litmus()
 		}
 	}
 	return nil
@@ -219,20 +275,20 @@ func LitmusNames() []string {
 func simMutex(threads, iters int) SimProgram {
 	return SimProgram{
 		Procs: threads,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			var counter, inCS, overlap sim.Word
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			counter, inCS, overlap := b.word(), b.word(), b.word()
 			for i := 0; i < threads; i++ {
-				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
 					for n := 0; n < iters; n++ {
 						m.Acquire(e)
-						if e.Add(&inCS, 1) != 1 {
-							e.Store(&overlap, 1)
+						if e.Add(inCS, 1) != 1 {
+							e.Store(overlap, 1)
 						}
-						v := e.Load(&counter)
+						v := e.Load(counter)
 						e.Work(1)
-						e.Store(&counter, v+1)
-						e.Add(&inCS, ^uint64(0))
+						e.Store(counter, v+1)
+						e.Add(inCS, ^uint64(0))
 						m.Release(e)
 					}
 				})
@@ -247,7 +303,7 @@ func simMutex(threads, iters int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -255,19 +311,19 @@ func simMutex(threads, iters int) SimProgram {
 func simSemMutex(threads, iters int) SimProgram {
 	return SimProgram{
 		Procs: threads,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			s := w.NewSemaphore()
-			var counter, inCS, overlap sim.Word
+		Build: reusable(func(b *builder) func() error {
+			s := b.sem()
+			counter, inCS, overlap := b.word(), b.word(), b.word()
 			for i := 0; i < threads; i++ {
-				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
 					for n := 0; n < iters; n++ {
 						s.P(e)
-						if e.Add(&inCS, 1) != 1 {
-							e.Store(&overlap, 1)
+						if e.Add(inCS, 1) != 1 {
+							e.Store(overlap, 1)
 						}
-						v := e.Load(&counter)
-						e.Store(&counter, v+1)
-						e.Add(&inCS, ^uint64(0))
+						v := e.Load(counter)
+						e.Store(counter, v+1)
+						e.Add(inCS, ^uint64(0))
 						s.V(e)
 					}
 				})
@@ -282,7 +338,7 @@ func simSemMutex(threads, iters int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -292,32 +348,32 @@ func simSemMutex(threads, iters int) SimProgram {
 func simProdCons(producers, items, capacity int) SimProgram {
 	return SimProgram{
 		Procs: producers + 1,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			nonEmpty := w.NewCondition()
-			nonFull := w.NewCondition()
-			var queue sim.Word
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			nonEmpty := b.cond()
+			nonFull := b.cond()
+			queue := b.word()
 			total := producers * items
 			for i := 0; i < producers; i++ {
-				k.Spawn(fmt.Sprintf("prod%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("prod%d", i+1), func(e *sim.Env) {
 					for n := 0; n < items; n++ {
 						m.Acquire(e)
-						for e.Load(&queue) == uint64(capacity) {
+						for e.Load(queue) == uint64(capacity) {
 							nonFull.Wait(e, m)
 						}
-						e.Add(&queue, 1)
+						e.Add(queue, 1)
 						m.Release(e)
 						nonEmpty.Signal(e)
 					}
 				})
 			}
-			k.Spawn("cons", func(e *sim.Env) {
+			b.spawn("cons", func(e *sim.Env) {
 				for got := 0; got < total; got++ {
 					m.Acquire(e)
-					for e.Load(&queue) == 0 {
+					for e.Load(queue) == 0 {
 						nonEmpty.Wait(e, m)
 					}
-					e.Add(&queue, ^uint64(0))
+					e.Add(queue, ^uint64(0))
 					m.Release(e)
 					nonFull.Signal(e)
 				}
@@ -328,7 +384,7 @@ func simProdCons(producers, items, capacity int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -342,17 +398,17 @@ func simAlert(buggy bool) SimProgram {
 	return SimProgram{
 		Procs: 3,
 		Opts:  simthreads.WorldOptions{BuggyAlertSeize: buggy},
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			c := w.NewCondition()
-			var inCS, overlap, sawAlert sim.Word
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			c := b.cond()
+			inCS, overlap, sawAlert := b.word(), b.word(), b.word()
 			enter := func(e *sim.Env) {
-				if e.Add(&inCS, 1) != 1 {
-					e.Store(&overlap, 1)
+				if e.Add(inCS, 1) != 1 {
+					e.Store(overlap, 1)
 				}
 			}
-			exit := func(e *sim.Env) { e.Add(&inCS, ^uint64(0)) }
-			alertee := k.Spawn("alertee", func(e *sim.Env) {
+			exit := func(e *sim.Env) { e.Add(inCS, ^uint64(0)) }
+			alertee := b.spawn("alertee", func(e *sim.Env) {
 				m.Acquire(e)
 				//threadsvet:ignore waitloop: single-shot litmus; the conformance schedule observes the Wait-is-a-hint semantics directly
 				alerted := c.AlertWait(e, m)
@@ -361,18 +417,18 @@ func simAlert(buggy bool) SimProgram {
 				exit(e)
 				m.Release(e)
 				if alerted {
-					e.Store(&sawAlert, 1)
+					e.Store(sawAlert, 1)
 				}
 			})
-			k.Spawn("worker", func(e *sim.Env) {
+			b.spawn("worker", func(e *sim.Env) {
 				m.Acquire(e)
 				enter(e)
 				e.Work(2)
 				exit(e)
 				m.Release(e)
 			})
-			k.Spawn("alerter", func(e *sim.Env) {
-				w.Alert(e, alertee)
+			b.spawn("alerter", func(e *sim.Env) {
+				b.w.Alert(e, alertee)
 			})
 			return func() error {
 				if overlap.Peek() != 0 {
@@ -383,7 +439,7 @@ func simAlert(buggy bool) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -398,38 +454,38 @@ func simAlert(buggy bool) SimProgram {
 func simPeterson(iters int) SimProgram {
 	return SimProgram{
 		Procs: 2,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			var flag [2]sim.Word
-			var turn sim.Word
-			var counter, inCS, overlap sim.Word
+		Build: reusable(func(b *builder) func() error {
+			flag := b.wordSlice(2)
+			turn := b.word()
+			counter, inCS, overlap := b.word(), b.word(), b.word()
 			for i := 0; i < 2; i++ {
 				i := i
 				j := 1 - i
-				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
 					for n := 0; n < iters; n++ {
 						e.Store(&flag[i], 1)
-						e.Store(&turn, uint64(j))
+						e.Store(turn, uint64(j))
 						for {
 							fj := e.Load(&flag[j])
 							if fj == 0 {
 								break
 							}
-							tv := e.Load(&turn)
+							tv := e.Load(turn)
 							if tv != uint64(j) {
 								break
 							}
 							e.AwaitChange(
 								sim.WordVal{W: &flag[j], Old: fj},
-								sim.WordVal{W: &turn, Old: tv},
+								sim.WordVal{W: turn, Old: tv},
 							)
 						}
-						if e.Add(&inCS, 1) != 1 {
-							e.Store(&overlap, 1)
+						if e.Add(inCS, 1) != 1 {
+							e.Store(overlap, 1)
 						}
-						v := e.Load(&counter)
+						v := e.Load(counter)
 						e.Work(1)
-						e.Store(&counter, v+1)
-						e.Add(&inCS, ^uint64(0))
+						e.Store(counter, v+1)
+						e.Add(inCS, ^uint64(0))
 						e.Store(&flag[i], 0)
 					}
 				})
@@ -444,7 +500,7 @@ func simPeterson(iters int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -458,33 +514,33 @@ func simPeterson(iters int) SimProgram {
 func simPhaser(parties, phases int) SimProgram {
 	return SimProgram{
 		Procs: parties,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			cv := w.NewCondition()
-			var count, gen, bad sim.Word
-			arrived := make([]sim.Word, phases)
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			cv := b.cond()
+			count, gen, bad := b.word(), b.word(), b.word()
+			arrived := b.wordSlice(phases)
 			arrive := func(e *sim.Env) {
 				m.Acquire(e)
-				g := e.Load(&gen)
-				if e.Add(&count, 1) == uint64(parties) {
-					e.Store(&count, 0)
-					e.Add(&gen, 1)
+				g := e.Load(gen)
+				if e.Add(count, 1) == uint64(parties) {
+					e.Store(count, 0)
+					e.Add(gen, 1)
 					m.Release(e)
 					cv.Broadcast(e)
 					return
 				}
-				for e.Load(&gen) == g {
+				for e.Load(gen) == g {
 					cv.Wait(e, m)
 				}
 				m.Release(e)
 			}
 			for i := 0; i < parties; i++ {
-				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
 					for p := 0; p < phases; p++ {
 						e.Add(&arrived[p], 1)
 						arrive(e)
 						if e.Load(&arrived[p]) != uint64(parties) {
-							e.Store(&bad, 1)
+							e.Store(bad, 1)
 						}
 					}
 				})
@@ -501,7 +557,7 @@ func simPhaser(parties, phases int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }
 
@@ -516,11 +572,11 @@ func simRWLock(readers int) SimProgram {
 	const readerMask, writerUnit = 1<<32 - 1, 1 << 32
 	return SimProgram{
 		Procs: readers + 1,
-		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
-			m := w.NewMutex()
-			changed := w.NewCondition()
-			var state, writing sim.Word // writing is guarded by m
-			var inR, inW, bad sim.Word  // detectors
+		Build: reusable(func(b *builder) func() error {
+			m := b.mutex()
+			changed := b.cond()
+			state, writing := b.word(), b.word()          // writing is guarded by m
+			inR, inW, bad := b.word(), b.word(), b.word() // detectors
 			lastReader := func(s uint64) bool { return s&readerMask == 0 && s >= writerUnit }
 			wakeWriters := func(e *sim.Env) {
 				m.Acquire(e)
@@ -528,49 +584,49 @@ func simRWLock(readers int) SimProgram {
 				changed.Broadcast(e)
 			}
 			for i := 0; i < readers; i++ {
-				k.Spawn(fmt.Sprintf("r%d", i+1), func(e *sim.Env) {
+				b.spawn(fmt.Sprintf("r%d", i+1), func(e *sim.Env) {
 					// RLock: fast path, else back out and wait under m.
-					if e.Add(&state, 1) >= writerUnit {
-						if lastReader(e.Add(&state, ^uint64(0))) {
+					if e.Add(state, 1) >= writerUnit {
+						if lastReader(e.Add(state, ^uint64(0))) {
 							wakeWriters(e)
 						}
 						m.Acquire(e)
-						for e.Load(&state) >= writerUnit {
+						for e.Load(state) >= writerUnit {
 							changed.Wait(e, m)
 						}
-						e.Add(&state, 1)
+						e.Add(state, 1)
 						m.Release(e)
 					}
 					// Read region: no writer may be inside.
-					e.Add(&inR, 1)
-					if e.Load(&inW) != 0 {
-						e.Store(&bad, 1)
+					e.Add(inR, 1)
+					if e.Load(inW) != 0 {
+						e.Store(bad, 1)
 					}
-					e.Add(&inR, ^uint64(0))
+					e.Add(inR, ^uint64(0))
 					// RUnlock.
-					if lastReader(e.Add(&state, ^uint64(0))) {
+					if lastReader(e.Add(state, ^uint64(0))) {
 						wakeWriters(e)
 					}
 				})
 			}
-			k.Spawn("writer", func(e *sim.Env) {
+			b.spawn("writer", func(e *sim.Env) {
 				m.Acquire(e)
-				e.Add(&state, writerUnit)
-				for e.Load(&writing) != 0 || e.Load(&state)&readerMask != 0 {
+				e.Add(state, writerUnit)
+				for e.Load(writing) != 0 || e.Load(state)&readerMask != 0 {
 					changed.Wait(e, m)
 				}
-				e.Store(&writing, 1)
+				e.Store(writing, 1)
 				m.Release(e)
 				// Write region: no reader may be inside.
-				e.Store(&inW, 1)
-				if e.Load(&inR) != 0 {
-					e.Store(&bad, 1)
+				e.Store(inW, 1)
+				if e.Load(inR) != 0 {
+					e.Store(bad, 1)
 				}
-				e.Store(&inW, 0)
+				e.Store(inW, 0)
 				// Unlock.
 				m.Acquire(e)
-				e.Store(&writing, 0)
-				e.Add(&state, ^uint64(writerUnit-1))
+				e.Store(writing, 0)
+				e.Add(state, ^uint64(writerUnit-1))
 				m.Release(e)
 				changed.Broadcast(e)
 			})
@@ -583,6 +639,6 @@ func simRWLock(readers int) SimProgram {
 				}
 				return nil
 			}
-		},
+		}),
 	}
 }

@@ -101,3 +101,54 @@ func BenchmarkExploreMutexK1POR(b *testing.B) {
 		}
 	}
 }
+
+// TestReusedRunAllocationFree: a run on a reused runner allocates nothing.
+// For every registry litmus, clean and broken, one runner exhausts each
+// bound k<=1 with sleep sets, and then re-runs the bound's last
+// non-violating schedule, once keeping the first half of the last run's
+// decisions and once from the root. The actions the run emits, its
+// litmus's Build, the recorder's arenas and the trace check must all reuse
+// what the runs before them made. A bound whose every schedule violates
+// has nothing to re-run.
+func TestReusedRunAllocationFree(t *testing.T) {
+	h := newRunner()
+	defer h.close()
+	o := Options{POR: PORSleepSets}
+	for _, lit := range checker.Registry() {
+		for k := 0; k <= 1; k++ {
+			en := newEngine(lit, &o, &boundShared{done: make(chan struct{})}, k, h)
+			var clean []int // the choices of the bound's last non-violating run
+			found := false
+			var ks KStats
+			keep := 0
+			for {
+				res := en.run(keep)
+				if res.Violation != nil {
+					break
+				}
+				found, clean = true, clean[:0]
+				for _, d := range res.Decisions {
+					clean = append(clean, d.Chosen)
+				}
+				var ok bool
+				if keep, ok = en.backtrack(&res, 0, &ks); !ok {
+					break
+				}
+			}
+			if !found {
+				t.Logf("%s k=%d: every schedule violates", lit.Name, k)
+				continue
+			}
+			en.forced = clean
+			if res := en.run(0); res.Violation != nil || res.Diverged || len(res.Decisions) != len(clean) {
+				t.Fatalf("%s k=%d: the re-run schedule diverged or violates: %v", lit.Name, k, res.Violation)
+			}
+			for _, keep := range []int{len(clean) / 2, 0} {
+				if n := testing.AllocsPerRun(5, func() { en.run(keep) }); n != 0 {
+					t.Errorf("%s k=%d: a run keeping %d of %d decisions allocates %.0f objects, want 0",
+						lit.Name, k, keep, len(clean), n)
+				}
+			}
+		}
+	}
+}

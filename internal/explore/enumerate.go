@@ -209,8 +209,9 @@ func betterViolation(a, b *RunResult) *RunResult {
 }
 
 // engine is one depth-first enumerator: a reusable recorder plus the
-// per-decision-point sleep/done bookkeeping along the current path. Its
-// runs use the runner of the goroutine it runs on.
+// per-decision-point sleep/done bookkeeping along the current path. It is
+// the engine of the runner of the goroutine it runs on, whose runs it
+// uses.
 type engine struct {
 	lit    *checker.Litmus
 	o      *Options
@@ -222,11 +223,25 @@ type engine struct {
 	forced []int
 }
 
+// newEngine resets h's engine for bound k of lit's exploration and
+// returns it. The engine keeps the storage of its path, forced prefix and
+// recorder arenas, which the bounds before it on h grew; the first run of
+// the bound records every decision afresh.
 func newEngine(lit *checker.Litmus, o *Options, sh *boundShared, k int, h *runner) *engine {
-	en := &engine{lit: lit, o: o, sh: sh, k: k, h: h}
-	en.rec.por = o.POR == PORSleepSets
-	en.rec.cache = o.Cache
-	en.rec.bound = k
+	en := &h.en
+	*en = engine{
+		lit: lit, o: o, sh: sh, k: k, h: h,
+		rec: recorder{
+			por:       o.POR == PORSleepSets,
+			cache:     o.Cache,
+			bound:     k,
+			decisions: en.rec.decisions[:0],
+			idArena:   en.rec.idArena[:0],
+			fpArena:   en.rec.fpArena[:0],
+		},
+		path:   en.path[:0],
+		forced: en.forced[:0],
+	}
 	return en
 }
 

@@ -322,7 +322,9 @@ const maxRunSteps = 2_000_000
 // its kernel, the carriers their threads run on, the linearization trace,
 // the checker that replays it through the specification, and the hooks
 // that feed the run's recorder and the trace, all reset in place before
-// every run. It serves one run at a time, so each goroutine that runs
+// every run. It also holds the engine that enumerates on it, which
+// newEngine resets for every bound, keeping its path and its recorder's
+// arenas. It serves one run at a time, so each goroutine that runs
 // programs holds its own; a violating run's result aliases the runner, so
 // an engine stops at its first violation.
 type runner struct {
@@ -331,6 +333,7 @@ type runner struct {
 	events   []trace.Event
 	check    *trace.Checker
 	rec      *recorder // the current run's
+	en       engine
 
 	choose func(*sim.T, []*sim.T) int
 	onStep func(*sim.T, sim.Footprint)

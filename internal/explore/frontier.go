@@ -37,7 +37,7 @@ func exploreBoundParallel(lit *checker.Litmus, o *Options, sh *boundShared, k, w
 			out.budgetHit = true
 			break
 		}
-		probe.forced = work[0]
+		probe.forced = append(probe.forced[:0], work[0]...)
 		work = work[1:]
 		res := probe.run(0)
 		out.runs++

@@ -49,6 +49,7 @@ type carrier struct {
 // thread ended starts the thread Run has since assigned to c.t.
 func (c *carrier) loop(yield func(struct{}) bool) {
 	c.yield = yield
+	growStack(0)
 	for {
 		c.t.main()
 		c.t = nil
@@ -56,4 +57,23 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 			return
 		}
 	}
+}
+
+// carrierStack is how far a carrier's stack grows before its first
+// thread runs: as far as thread bodies reach, the Trace and OnStep hooks
+// and the allocations they make included. A goroutine starts on a small
+// stack, and a stack that grows under a thread body is copied with a walk
+// over each of its frames; grown here, under two frames, the copy is
+// cheap. A run on new carriers, as on every new kernel that is given no
+// pool, spent a fifth of its time in those copies.
+const carrierStack = 14 << 10
+
+// growStack makes the calling goroutine's stack hold a frame of
+// carrierStack bytes.
+//
+//go:noinline
+func growStack(i int) byte {
+	var pad [carrierStack]byte
+	pad[i] = 1
+	return pad[len(pad)-1-i]
 }

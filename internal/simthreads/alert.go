@@ -13,7 +13,14 @@ func (w *World) Alert(e *sim.Env, t *sim.T) {
 	w.nubLock(e)
 	st := w.state(t)
 	st.alerted = true
-	w.emit(e, spec.Alert{T: w.state(e.Self()).id, Target: st.id})
+	if w.traced {
+		self := w.state(e.Self())
+		p := at(&self.acts, 2+int(st.id))
+		if *p == nil {
+			*p = spec.Alert{T: self.id, Target: st.id}
+		}
+		e.Emit(*p)
+	}
 	if st.alertTgt != nil && st.wakeup == wakeNone {
 		st.wakeup = wakeAlert
 		e.MakeReady(t)
@@ -29,7 +36,17 @@ func (w *World) TestAlert(e *sim.Env) bool {
 	st := w.state(e.Self())
 	b := st.alerted
 	st.alerted = false
-	w.emit(e, spec.TestAlert{T: st.id, Result: b})
+	if w.traced {
+		i := 0
+		if b {
+			i = 1
+		}
+		p := at(&st.acts, i)
+		if *p == nil {
+			*p = spec.TestAlert{T: st.id, Result: b}
+		}
+		e.Emit(*p)
+	}
 	w.nubUnlock(e)
 	return b
 }

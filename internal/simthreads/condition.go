@@ -27,6 +27,11 @@ type Condition struct {
 	// waitReason and alertWaitReason name the condition's blocks in
 	// deadlock reports.
 	waitReason, alertWaitReason string
+	// waits keeps the boxed Enqueue, Resume and AlertResume actions each
+	// thread emits on c, by spec thread ID and then by mutex (see lin.slot),
+	// and wakes its Broadcast (slot 0) and Signals (slot 1+r, r the spec ID
+	// of the thread the Signal removes, or NIL). See at.
+	waits, wakes [][]spec.Action
 }
 
 // NewCondition creates a condition variable (INITIALLY {}).
@@ -76,11 +81,13 @@ func (c *Condition) Wait(e *sim.Env, m *Mutex) {
 	// increment is the last instruction after which a Signal is obliged
 	// to consider us waiting.
 	e.Add(&c.committed, 1)
-	c.w.emit(e, spec.Enqueue{T: st.id, M: m.id, C: c.id})
+	on := lin{op: linEnqueue, e: e, st: st, m: m, c: c}
+	on.run(c.w)
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
 	c.block(e, i, c.waitReason)
-	m.acquireSilent(e, lin{op: linResume, e: e, st: st, obj: int(m.id), c: c.id})
+	on.op = linResume
+	m.acquireSilent(e, on)
 }
 
 // block is the Nub's Block(c, i): under the spin lock, compare i with the
@@ -185,11 +192,21 @@ func (c *Condition) Signal(e *sim.Env) {
 		}
 		// Claimed by Alert; its wakeup belongs to the next thread.
 	}
-	var removed []spec.ThreadID
-	if woken != nil {
-		removed = w.state(woken).removed[:]
+	if w.traced {
+		var r spec.ThreadID // the thread the Signal removes, or NIL
+		if woken != nil {
+			r = w.state(woken).id
+		}
+		p := at(at(&c.wakes, int(self)), 1+int(r))
+		if *p == nil {
+			a := spec.Signal{T: self, C: c.id}
+			if r != spec.NIL {
+				a.Removed = []spec.ThreadID{r}
+			}
+			*p = a
+		}
+		e.Emit(*p)
 	}
-	w.emit(e, spec.Signal{T: self, C: c.id, Removed: removed})
 	if woken != nil {
 		e.MakeReady(woken)
 		w.Stats.SignalWoke++
@@ -229,7 +246,13 @@ func (c *Condition) Broadcast(e *sim.Env) {
 	if left != 0 {
 		e.Add(&c.committed, -left)
 	}
-	w.emit(e, spec.Broadcast{T: self, C: c.id})
+	if w.traced {
+		p := at(at(&c.wakes, int(self)), 0)
+		if *p == nil {
+			*p = spec.Broadcast{T: self, C: c.id}
+		}
+		e.Emit(*p)
+	}
 	for _, t := range woken {
 		e.MakeReady(t)
 		w.Stats.BcastWoke++
@@ -242,10 +265,9 @@ func (c *Condition) Broadcast(e *sim.Env) {
 // by Alert; in that case the thread was removed from c, the alert was
 // consumed, and the mutex was still reacquired before returning.
 func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
-	st := c.w.state(e.Self())
-	self := st.id
 	e.Add(&c.committed, 1)
-	c.w.emit(e, spec.Enqueue{T: self, M: m.id, C: c.id})
+	on := lin{op: linEnqueue, e: e, st: c.w.state(e.Self()), m: m, c: c}
+	on.run(c.w)
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
 	alerted = c.blockAlertable(e, i, c.alertWaitReason)
@@ -255,12 +277,12 @@ func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
 		// it holds m — without waiting for the holder. It barges into the
 		// guarded region, and its later Release clears a lock bit it
 		// never owned.
-		st.alerted = false
-		c.w.emit(e, spec.AlertResumeRaise{T: self, M: m.id, C: c.id, Variant: spec.VariantNoMNil})
+		on.op = linSeize
+		on.run(c.w)
 		e.Work(branchCost)
 		return true
 	}
-	on := lin{op: linAlertResumeReturn, e: e, st: st, obj: int(m.id), c: c.id}
+	on.op = linAlertResumeReturn
 	if alerted {
 		on.op = linAlertResumeRaise
 	}

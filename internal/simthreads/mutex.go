@@ -16,6 +16,9 @@ type Mutex struct {
 	// acquireReason and resumeReason name the mutex's slow-path blocks in
 	// deadlock reports.
 	acquireReason, resumeReason string
+	// acts keeps the boxed Acquire and Release each thread emits on m, by
+	// spec thread ID (see at).
+	acts [][2]spec.Action
 }
 
 // NewMutex creates a mutex (INITIALLY NIL). With the world's
@@ -44,7 +47,7 @@ func (m *Mutex) ID() spec.MutexID { return m.id }
 // Acquire blocks until the mutex is free and takes it. The uncontended
 // path is 2 instructions (test-and-set, branch).
 func (m *Mutex) Acquire(e *sim.Env) {
-	on := lin{op: linAcquire, e: e, st: m.w.state(e.Self()), obj: int(m.id)}
+	on := lin{op: linAcquire, e: e, st: m.w.state(e.Self()), m: m}
 	if m.w.opts.NoUserFastPath {
 		m.g.acquireNubOnly(e, m.acquireReason, on)
 		return
@@ -72,7 +75,7 @@ func (m *Mutex) acquireSilent(e *sim.Env, on lin) {
 // ready pool. The uncontended path is 3 instructions (clear, queue test,
 // branch).
 func (m *Mutex) Release(e *sim.Env) {
-	on := lin{op: linRelease, e: e, st: m.w.state(e.Self()), obj: int(m.id)}
+	on := lin{op: linRelease, e: e, st: m.w.state(e.Self()), m: m}
 	if m.w.opts.NoUserFastPath {
 		m.g.releaseNubOnly(e, on)
 		return
@@ -106,6 +109,9 @@ type Semaphore struct {
 	// pReason and alertPReason name the semaphore's slow-path blocks in
 	// deadlock reports.
 	pReason, alertPReason string
+	// acts keeps the boxed P, V, AlertP.Return and AlertP.Raise each
+	// thread emits on s, by spec thread ID (see at).
+	acts [][4]spec.Action
 }
 
 // NewSemaphore creates a semaphore (INITIALLY available).
@@ -131,7 +137,7 @@ func (s *Semaphore) ID() spec.SemID { return s.id }
 
 // P blocks until the semaphore is available and takes it.
 func (s *Semaphore) P(e *sim.Env) {
-	on := lin{op: linP, e: e, st: s.w.state(e.Self()), obj: int(s.id)}
+	on := lin{op: linP, e: e, st: s.w.state(e.Self()), s: s}
 	if s.w.opts.NoUserFastPath {
 		s.g.acquireNubOnly(e, s.pReason, on)
 		return
@@ -144,7 +150,7 @@ func (s *Semaphore) P(e *sim.Env) {
 
 // V makes the semaphore available, waking one queued thread if any.
 func (s *Semaphore) V(e *sim.Env) {
-	on := lin{op: linV, e: e, st: s.w.state(e.Self()), obj: int(s.id)}
+	on := lin{op: linV, e: e, st: s.w.state(e.Self()), s: s}
 	if s.w.opts.NoUserFastPath {
 		s.g.releaseNubOnly(e, on)
 		return
@@ -156,7 +162,7 @@ func (s *Semaphore) V(e *sim.Env) {
 // instead of acquiring; it returns true if alerted. When both outcomes are
 // possible the implementation chooses arbitrarily (experiment E8).
 func (s *Semaphore) AlertP(e *sim.Env) (alerted bool) {
-	onAcquired := lin{op: linAlertPReturn, e: e, st: s.w.state(e.Self()), obj: int(s.id)}
+	onAcquired := lin{op: linAlertPReturn, e: e, st: s.w.state(e.Self()), s: s}
 	onAlerted := onAcquired
 	onAlerted.op = linAlertPRaise
 	if s.g.tryAcquire(e, onAcquired) {

@@ -86,6 +86,13 @@ type World struct {
 	// the Nub spin lock only).
 	digestFn func(*sim.Hash128)
 	woken    []*sim.T
+	// Program is a slot for what a program builder made on the world: its
+	// words, thread bodies and check, kept so that building the program
+	// again on the reset world finds them instead of making them again.
+	// The objects and threads it takes again are the same, since a reset
+	// world hands out its objects, and its kernel its thread records, in
+	// creation order. Reset keeps the slot.
+	Program any
 }
 
 // Kernel is re-exported so callers need only import simthreads for common
@@ -119,15 +126,16 @@ type tstate struct {
 	// Emitting at the recipient's wakeup instead would let a concurrent
 	// V+P pair overtake the recorded order and fail conformance.
 	handoffEmit lin
-	// removed is the one-element Removed list of a Signal that wakes this
-	// thread: its own spec ID, fixed for the run.
-	removed [1]spec.ThreadID
 	// basePri and donations implement priority inheritance (priority.go):
 	// the thread's effective priority — what the kernel schedules by — is
 	// max(basePri, donations values). basePri is captured at first contact,
 	// before any donation can have landed.
 	basePri   int
 	donations map[int]int // gate queue id -> donated priority
+	// acts keeps the thread's boxed TestAlert actions (slots 0 and 1, by
+	// result) and its Alerts (slot 2+target), as the objects keep the
+	// actions of their operations (see at).
+	acts []spec.Action
 }
 
 type wakeReason int
@@ -192,10 +200,11 @@ func NewWorld(cfg sim.Config) (*World, *Kernel) {
 // Reset returns w and its kernel, reset to cfg, to the state
 // NewWorldOpts(cfg, opts) builds, and returns the kernel. It keeps the
 // storage of both: the kernel's (see sim.Kernel.Reset), every thread's
-// synchronization state, and the objects the New* methods made, which
-// they hand out again in creation order. Nothing of the previous run may
-// be used once Reset is called, and Reset must not be called while the
-// kernel runs.
+// synchronization state, the objects the New* methods made, which they
+// hand out again in creation order, the boxed actions those objects and
+// threads emitted (see at), and the Program slot. Nothing of
+// the previous run may be used once Reset is called, and Reset must not be
+// called while the kernel runs.
 func (w *World) Reset(cfg sim.Config, opts WorldOptions) *Kernel {
 	k := w.k
 	if k == nil {
@@ -227,11 +236,10 @@ func (w *World) Reset(cfg sim.Config, opts WorldOptions) *Kernel {
 }
 
 // reset returns st to the state of a thread no primitive has touched,
-// keeping its donation map's storage.
+// keeping its donation map's storage and its boxed actions.
 func (st *tstate) reset() {
-	d := st.donations
-	clear(d)
-	*st = tstate{donations: d}
+	clear(st.donations)
+	*st = tstate{donations: st.donations, acts: st.acts}
 }
 
 // state returns (creating on demand) the synchronization state of t.
@@ -251,7 +259,6 @@ func (w *World) state(t *sim.T) *tstate {
 		// at first contact: no donation can target a thread before it has a
 		// tstate, so the current priority is the undonated base.
 		st.id = spec.ThreadID(id + 1)
-		st.removed[0] = st.id
 		st.basePri = t.Priority()
 	}
 	return st
@@ -277,23 +284,36 @@ func (w *World) nubUnlock(e *sim.Env) {
 	e.Store(&w.nub, 0)
 }
 
-func (w *World) emit(e *sim.Env, a spec.Action) {
-	if w.traced {
-		e.Emit(a)
+// at returns element i of *s, growing *s with zero elements as needed.
+//
+// The actions a traced world emits are boxed (converted to spec.Action,
+// which allocates) at their first emission and kept in tables that grow
+// with at: each Mutex, Semaphore and Condition keeps those of its
+// operations, by spec thread ID, and each thread's state its Alerts and
+// TestAlerts. Reset keeps the tables. A spec thread ID is the kernel ID
+// plus one and the n-th object of a kind is the same object in every run
+// of a world, so a kept action is the one a new world would box, and a
+// traced run on a reused world boxes nothing.
+func at[E any](s *[]E, i int) *E {
+	if i >= len(*s) {
+		*s = append(*s, make([]E, i+1-len(*s))...)
 	}
+	return &(*s)[i]
 }
 
 // lin is the action an operation performs at its linearization point,
 // held as a value so that no operation builds a closure for it: op names
 // the spec action, filled in from the operating thread's state st and the
-// object IDs. e is that thread's Env, also when a direct hand-off runs the
-// action in the releaser's slice. The zero lin does nothing.
+// operation's objects (c and m for the condition operations). e is that
+// thread's Env, also when a direct hand-off runs the action in the
+// releaser's slice. The zero lin does nothing.
 type lin struct {
-	op  linOp
-	e   *sim.Env
-	st  *tstate
-	obj int // the mutex's or the semaphore's ID
-	c   spec.CondID
+	op linOp
+	e  *sim.Env
+	st *tstate
+	m  *Mutex
+	s  *Semaphore
+	c  *Condition
 }
 
 type linOp uint8
@@ -306,41 +326,73 @@ const (
 	linV
 	linAlertPReturn
 	linAlertPRaise
+	linEnqueue
 	linResume
 	linAlertResumeReturn
-	linAlertResumeRaise // also consumes the thread's alert
+	linAlertResumeRaise // this and linSeize also consume the thread's alert
+	linSeize            // the AlertResume.Raise of VariantNoMNil (BuggyAlertSeize)
 )
 
-// run performs l: it emits l's action, and a raising AlertWait consumes
+// nWaitActs is how many actions a condition keeps per thread and mutex:
+// linEnqueue to linSeize.
+const nWaitActs = int(linSeize-linEnqueue) + 1
+
+// run performs l: it emits l's action, and a raising AlertResume consumes
 // the thread's alert first.
 func (l *lin) run(w *World) {
-	if l.op == linAlertResumeRaise {
+	if l.op >= linAlertResumeRaise {
 		l.st.alerted = false
 	}
 	if !w.traced || l.op == linNone {
 		return
 	}
-	t, m, s := l.st.id, spec.MutexID(l.obj), spec.SemID(l.obj)
-	var a spec.Action
+	p := l.slot()
+	if *p == nil {
+		*p = l.action()
+	}
+	l.e.Emit(*p)
+}
+
+// slot is where l's boxed action is kept: with its condition (by thread,
+// then by mutex and operation), mutex or semaphore (by thread, then by
+// operation).
+func (l *lin) slot() *spec.Action {
+	t := int(l.st.id)
+	switch {
+	case l.c != nil:
+		return at(at(&l.c.waits, t), nWaitActs*(int(l.m.id)-1)+int(l.op-linEnqueue))
+	case l.m != nil:
+		return &at(&l.m.acts, t)[l.op-linAcquire]
+	default:
+		return &at(&l.s.acts, t)[l.op-linP]
+	}
+}
+
+// action boxes l's action.
+func (l *lin) action() spec.Action {
+	t := l.st.id
 	switch l.op {
 	case linAcquire:
-		a = spec.Acquire{T: t, M: m}
+		return spec.Acquire{T: t, M: l.m.id}
 	case linRelease:
-		a = spec.Release{T: t, M: m}
+		return spec.Release{T: t, M: l.m.id}
 	case linP:
-		a = spec.P{T: t, S: s}
+		return spec.P{T: t, S: l.s.id}
 	case linV:
-		a = spec.V{T: t, S: s}
+		return spec.V{T: t, S: l.s.id}
 	case linAlertPReturn:
-		a = spec.AlertPReturn{T: t, S: s}
+		return spec.AlertPReturn{T: t, S: l.s.id}
 	case linAlertPRaise:
-		a = spec.AlertPRaise{T: t, S: s}
+		return spec.AlertPRaise{T: t, S: l.s.id}
+	case linEnqueue:
+		return spec.Enqueue{T: t, M: l.m.id, C: l.c.id}
 	case linResume:
-		a = spec.Resume{T: t, M: m, C: l.c}
+		return spec.Resume{T: t, M: l.m.id, C: l.c.id}
 	case linAlertResumeReturn:
-		a = spec.AlertResumeReturn{T: t, M: m, C: l.c}
+		return spec.AlertResumeReturn{T: t, M: l.m.id, C: l.c.id}
 	case linAlertResumeRaise:
-		a = spec.AlertResumeRaise{T: t, M: m, C: l.c, Variant: spec.VariantFinal}
+		return spec.AlertResumeRaise{T: t, M: l.m.id, C: l.c.id, Variant: spec.VariantFinal}
+	default:
+		return spec.AlertResumeRaise{T: t, M: l.m.id, C: l.c.id, Variant: spec.VariantNoMNil}
 	}
-	l.e.Emit(a)
 }

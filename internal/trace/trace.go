@@ -127,11 +127,8 @@ func (c *Checker) Apply(ev Event) error {
 		err = c.leave(ev, r.T, r.M, r.C, true)
 	case spec.AlertResumeRaise:
 		err = c.leave(ev, r.T, r.M, r.C, false)
-		if r.Variant != spec.VariantFinal {
-			// Only an emitter of a historical variant (a broken litmus)
-			// pays for boxing the final one.
-			r.Variant = spec.VariantFinal
-			a = r
+		if err == nil && r.Variant != spec.VariantFinal {
+			return c.raise(ev, r)
 		}
 	}
 	if err != nil {
@@ -141,7 +138,7 @@ func (c *Checker) Apply(ev Event) error {
 		return c.violation(ev, err)
 	}
 	if !a.When(c.st) {
-		return c.fail(ev, a.Kind()+" WHEN", "not enabled at the linearization; state %v", c.st)
+		return c.notEnabled(ev, a.Kind())
 	}
 	switch r := a.(type) {
 	case spec.Enqueue:
@@ -169,6 +166,27 @@ func (c *Checker) Apply(ev Event) error {
 	a.Apply(c.st)
 	c.applied++
 	return nil
+}
+
+// raise judges an AlertResume.Raise that its emitter tags with a
+// historical variant as the final variant. It judges the concrete value:
+// boxing the retagged action into a spec.Action would allocate at every
+// such raise.
+func (c *Checker) raise(ev Event, r spec.AlertResumeRaise) error {
+	r.Variant = spec.VariantFinal
+	if err := r.Requires(c.st); err != nil {
+		return c.violation(ev, err)
+	}
+	if !r.When(c.st) {
+		return c.notEnabled(ev, r.Kind())
+	}
+	r.Apply(c.st)
+	c.applied++
+	return nil
+}
+
+func (c *Checker) notEnabled(ev Event, kind string) error {
+	return c.fail(ev, kind+" WHEN", "not enabled at the linearization; state %v", c.st)
 }
 
 // leave applies the replay's own rules to thread t's departure from
